@@ -1,7 +1,7 @@
 //! End-to-end solver hot-path benchmark with a JSON trajectory emitter.
 //!
 //! ```text
-//! cargo bench --bench bench_hotpath -- [--quick] [--threads N] [--repeats N]
+//! cargo bench --bench bench_hotpath -- [--quick | --table3] [--threads N] [--repeats N]
 //!                                      [--variant NAME] [--json PATH]
 //! ```
 //!
@@ -23,6 +23,7 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => options.quick = true,
+            "--table3" => options.table3 = true,
             "--threads" => {
                 options.threads = args
                     .next()
@@ -55,7 +56,13 @@ fn main() {
         options.variant,
         options.threads,
         options.repeats,
-        if options.quick { "quick" } else { "full" }
+        if options.table3 {
+            "table3"
+        } else if options.quick {
+            "quick"
+        } else {
+            "full"
+        }
     );
     let records = run_hotpath(&options);
 

@@ -206,6 +206,7 @@ fn run_solver_experiment(
         threads,
         quick,
         repeats: 2,
+        ..HotpathOptions::default()
     };
     println!(
         "## solver hot path (variant={variant}, threads={threads}, {} matrix)",

@@ -14,11 +14,14 @@
 //! both the word-parallel kernels and the scheduler are exercised.
 
 use std::path::Path;
+use std::time::Instant;
 
 use hbbmc::{par_count_maximal_cliques, SolverConfig};
 use mce_gen::{barabasi_albert, erdos_renyi, moon_moser, planted_communities, PlantedConfig};
 use mce_graph::Graph;
 
+use crate::algorithms::ablation_algorithms;
+use crate::datasets::all_datasets;
 use crate::json::{append_runs, JsonValue};
 use crate::runner::measure;
 
@@ -34,6 +37,9 @@ pub struct HotpathOptions {
     pub threads: usize,
     /// Use the tiny graph matrix (CI smoke runs).
     pub quick: bool,
+    /// Use the Table III matrix instead: the 16 full-size surrogates under
+    /// the ablation presets ([`table3_graphs`] × [`table3_presets`]).
+    pub table3: bool,
     /// Timed repetitions per cell; the best (minimum) time is recorded.
     pub repeats: usize,
 }
@@ -44,6 +50,7 @@ impl Default for HotpathOptions {
             variant: "unnamed".into(),
             threads: 1,
             quick: false,
+            table3: false,
             repeats: 2,
         }
     }
@@ -136,7 +143,26 @@ pub fn hotpath_presets() -> Vec<(&'static str, SolverConfig)> {
     ]
 }
 
-/// Measures one (graph, preset) cell: best of `repeats` timed runs.
+/// The Table III graphs: every surrogate of
+/// [`all_datasets`] at full size.
+pub fn table3_graphs() -> Vec<(&'static str, Graph)> {
+    all_datasets()
+        .iter()
+        .map(|d| (d.short, d.build()))
+        .collect()
+}
+
+/// The ablation presets of the paper's Table III.
+pub fn table3_presets() -> Vec<(&'static str, SolverConfig)> {
+    ablation_algorithms()
+        .into_iter()
+        .map(|a| (a.name, a.config))
+        .collect()
+}
+
+/// Measures one (graph, preset) cell: best of `repeats` timed runs. Each
+/// run is timed from outside, so a cell covers graph reduction, ordering
+/// and enumeration.
 pub fn measure_cell(
     name: &str,
     g: &Graph,
@@ -148,14 +174,14 @@ pub fn measure_cell(
     let mut best = f64::INFINITY;
     let mut cliques = 0u64;
     for _ in 0..repeats.max(1) {
-        let (count, stats) = if threads > 1 {
-            par_count_maximal_cliques(g, config, threads)
+        let start = Instant::now();
+        let count = if threads > 1 {
+            par_count_maximal_cliques(g, config, threads).0
         } else {
-            let m = measure(g, config);
-            (m.cliques, m.stats)
+            measure(g, config).cliques
         };
+        let secs = start.elapsed().as_secs_f64();
         cliques = count;
-        let secs = stats.elapsed.as_secs_f64();
         if secs < best {
             best = secs;
         }
@@ -174,8 +200,12 @@ pub fn measure_cell(
 /// Runs the full matrix, printing one line per cell.
 pub fn run_hotpath(options: &HotpathOptions) -> Vec<HotpathRecord> {
     let mut records = Vec::new();
-    let presets = hotpath_presets();
-    for (graph_name, g) in hotpath_graphs(options.quick) {
+    let (graphs, presets) = if options.table3 {
+        (table3_graphs(), table3_presets())
+    } else {
+        (hotpath_graphs(options.quick), hotpath_presets())
+    };
+    for (graph_name, g) in graphs {
         for (preset_name, config) in &presets {
             let record = measure_cell(
                 graph_name,
@@ -236,6 +266,7 @@ mod tests {
             threads: 1,
             quick: true,
             repeats: 1,
+            ..HotpathOptions::default()
         };
         let records = run_hotpath(&options);
         assert_eq!(

@@ -93,10 +93,13 @@ impl TestClient {
         Ok(TestClient { stream, reader })
     }
 
-    /// Sends one request line (the newline is appended).
+    /// Sends one request line (the newline is appended) in a single write,
+    /// so the client's own Nagle delay never holds back the newline.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        let mut bytes = Vec::with_capacity(line.len() + 1);
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+        self.stream.write_all(&bytes)?;
         self.stream.flush()
     }
 

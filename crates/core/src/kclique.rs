@@ -9,6 +9,8 @@
 //! the branching edge (so every k-clique is produced exactly once, at its
 //! earliest edge).
 
+use std::ops::ControlFlow;
+
 use mce_graph::ordering::{edge_ordering, EdgeOrderingKind};
 use mce_graph::{BitSet, Graph, VertexId};
 
@@ -104,35 +106,36 @@ pub(crate) fn for_each_k_clique_with_state(
 
     let mut aborted = 0u64;
     let eo = edge_ordering(g, EdgeOrderingKind::Truss);
-    let mut common = Vec::new();
+    let mut candidates = Vec::new();
+    let mut position = vec![u32::MAX; g.n()];
+    let mut lg = LocalGraph::new();
     for (rank, &edge) in eo.order.iter().enumerate() {
         if state.note_step() {
             return aborted + 1;
         }
-        let (u, v) = eo.index.endpoints(edge);
-        g.common_neighbors_into(u, v, &mut common);
-        // Candidates: common neighbours whose edges to both endpoints come
-        // after the branching edge in the truss ordering.
-        let candidates: Vec<VertexId> = common
-            .iter()
-            .copied()
-            .filter(|&w| {
-                let uw = eo.index.edge_id(u, w).expect("triangle edge (u,w)");
-                let vw = eo.index.edge_id(v, w).expect("triangle edge (v,w)");
-                eo.position[uw as usize] > rank && eo.position[vw as usize] > rank
-            })
-            .collect();
-        if candidates.len() + 2 < k {
+        // The ordering knows each edge's candidate count: the common
+        // neighbours whose edges to both endpoints come after the branching
+        // edge in the truss ordering.
+        if (eo.later[edge as usize] as usize) + 2 < k {
             continue;
         }
+        let (u, v) = eo.index.endpoints(edge);
+        candidates.clear();
+        eo.index.for_each_common(u, v, |w, uw, vw| {
+            if eo.position[uw as usize] > rank && eo.position[vw as usize] > rank {
+                candidates.push(w);
+            }
+            ControlFlow::Continue(())
+        });
         // Inside the branch only edges ordered after the branching edge count,
         // so a k-clique is visited exactly once: at its earliest edge.
-        let lg = LocalGraph::from_vertices_filtered(g, &candidates, |a, b| {
-            match eo.index.edge_id(a, b) {
-                Some(e) => eo.position[e as usize] > rank,
-                None => true,
-            }
-        });
+        lg.rebuild_from_edges(
+            &eo.index,
+            &candidates,
+            candidates.len(),
+            |e| eo.position[e as usize] > rank,
+            &mut position,
+        );
         let mut c = BitSet::with_capacity(lg.len());
         for i in 0..lg.len() {
             c.insert(i);

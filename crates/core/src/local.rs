@@ -13,7 +13,9 @@
 //!
 //! * `g_adj` — the true adjacency of the input graph restricted to the local
 //!   vertices. Used for maximality checking (moving vertices to `X`) and for
-//!   the early-termination plex test.
+//!   the early-termination plex test. Edge roots leave out the edges between
+//!   two exclusion vertices, which no branch reads
+//!   (`LocalGraph::rebuild_from_edges`).
 //! * `cand_adj` — the *candidate* adjacency: `g_adj` minus the edges excluded
 //!   by earlier sibling branches of an edge-oriented branching step (Eq. 2 of
 //!   the paper removes processed edges from the candidate graph). When no
@@ -25,6 +27,7 @@
 //! one instance whose matrix buffers are reused across all root branches, so
 //! steady-state root processing does not allocate.
 
+use mce_graph::triangles::{EdgeId, EdgeIndex};
 use mce_graph::{AdjMatrix, GraphTopology, VertexId};
 
 /// Dense local view of a branch's vertex universe (`C ∪ X` of the root branch).
@@ -163,6 +166,82 @@ impl LocalGraph {
         self
     }
 
+    /// Rebuilds this local graph in place over `vertices` from a slot-aligned
+    /// [`EdgeIndex`] of the input graph, keeping in the *candidate* adjacency
+    /// only the edges whose id passes `keep`. Every edge arrives with its id,
+    /// so `keep` is an array load rather than an edge-id search.
+    ///
+    /// The first `c_len` vertices are the root's candidates, the rest its
+    /// exclusion side, and only edges with at least one candidate endpoint
+    /// are materialised. The recursion never reads an edge between two
+    /// exclusion vertices: every row it reads is either a candidate's, or is
+    /// masked by the candidate set, and candidates only ever leave `C` for
+    /// `X`. With `c_len == vertices.len()` the result equals
+    /// [`LocalGraph::rebuild_filtered`].
+    ///
+    /// When those pairs are fewer than the candidates' degree sum, each pair
+    /// is looked up directly ([`EdgeIndex::edge_id`]) instead of scanning
+    /// every candidate's whole neighbour list; `position` is the same
+    /// `u32::MAX`-filled scratch as in [`LocalGraph::rebuild_filtered`], used
+    /// by the scan.
+    pub fn rebuild_from_edges<F>(
+        &mut self,
+        index: &EdgeIndex,
+        vertices: &[VertexId],
+        c_len: usize,
+        keep: F,
+        position: &mut [u32],
+    ) -> &mut Self
+    where
+        F: Fn(EdgeId) -> bool,
+    {
+        debug_assert_eq!(position.len(), index.n());
+        debug_assert!(c_len <= vertices.len());
+        let k = vertices.len();
+        self.orig.clear();
+        self.orig.extend_from_slice(vertices);
+        self.g_adj.reset(k);
+        self.cand_adj.reset(k);
+        self.filtered = false;
+        let add = |lg: &mut Self, i: usize, j: usize, e: EdgeId| {
+            lg.g_adj.insert_sym(i, j);
+            if keep(e) {
+                lg.cand_adj.insert_sym(i, j);
+            } else {
+                lg.filtered = true;
+            }
+        };
+
+        let candidates = &vertices[..c_len];
+        let pairs = c_len * (k - c_len) + c_len * c_len.saturating_sub(1) / 2;
+        let degree_sum: usize = candidates.iter().map(|&v| index.degree(v)).sum();
+        if pairs < degree_sum {
+            for (i, &a) in candidates.iter().enumerate() {
+                for (j, &b) in vertices.iter().enumerate().skip(i + 1) {
+                    if let Some(e) = index.edge_id(a, b) {
+                        add(self, i, j, e);
+                    }
+                }
+            }
+            return self;
+        }
+        for (i, &v) in vertices.iter().enumerate() {
+            position[v as usize] = i as u32;
+        }
+        for (i, &v) in candidates.iter().enumerate() {
+            for (&u, &e) in index.neighbors(v).iter().zip(index.slot_ids(v)) {
+                let j = position[u as usize];
+                if j != u32::MAX && (j as usize) > i {
+                    add(self, i, j as usize, e);
+                }
+            }
+        }
+        for &v in vertices {
+            position[v as usize] = u32::MAX;
+        }
+        self
+    }
+
     /// Returns a copy of this local graph whose candidate adjacency
     /// additionally drops every edge for which `keep(u, v)` is `false`
     /// (`u`/`v` original ids). Used when descending another edge-oriented
@@ -243,6 +322,70 @@ mod tests {
         assert!(!lg.is_filtered());
         for v in 0..lg.len() {
             assert_eq!(lg.cand(v), lg.gadj(v));
+        }
+    }
+
+    #[test]
+    fn rebuild_from_edges_matches_the_adjacency_scan() {
+        // Hub 0, a dense block 1..12 and leaves 12..40: blocks take the
+        // pairwise lookups, leaf candidates (pairs above their degree sum)
+        // take the scan.
+        let mut edges: Vec<(u32, u32)> = (1..40).map(|v| (0, v)).collect();
+        for a in 1..12 {
+            for b in (a + 1)..12 {
+                if (a + b) % 3 != 0 {
+                    edges.push((a, b));
+                }
+            }
+        }
+        let g = Graph::from_edges(40, edges).unwrap();
+        let index = EdgeIndex::new(&g);
+        let mut position = vec![u32::MAX; g.n()];
+        let keep = |a: VertexId, b: VertexId| (a + 2 * b) % 5 != 0 && (b + 2 * a) % 5 != 0;
+        let leaves: Vec<VertexId> = (12..40).chain([0, 1]).collect();
+        for vertices in [
+            vec![0, 3, 5, 7, 1, 2],
+            (0..12).collect(),
+            leaves,
+            vec![9, 4],
+            vec![],
+        ] {
+            let full = LocalGraph::from_vertices_filtered(&g, &vertices, keep);
+            for c_len in 0..=vertices.len() {
+                let mut lg = LocalGraph::new();
+                lg.rebuild_from_edges(
+                    &index,
+                    &vertices,
+                    c_len,
+                    |e| {
+                        let (a, b) = index.endpoints(e);
+                        keep(a, b)
+                    },
+                    &mut position,
+                );
+                assert!(position.iter().all(|&p| p == u32::MAX));
+                assert_eq!(lg.orig, vertices);
+                for i in 0..vertices.len() {
+                    for j in 0..vertices.len() {
+                        // Pairs of two exclusion vertices are left out.
+                        let read = i < c_len || j < c_len;
+                        let (g_bit, c_bit) = (full.gadj_contains(i, j), full.cand_contains(i, j));
+                        assert_eq!(
+                            lg.gadj_contains(i, j),
+                            read && g_bit,
+                            "{vertices:?} {c_len}"
+                        );
+                        assert_eq!(
+                            lg.cand_contains(i, j),
+                            read && c_bit,
+                            "{vertices:?} {c_len}"
+                        );
+                    }
+                }
+                if c_len == vertices.len() {
+                    assert_eq!(lg.is_filtered(), full.is_filtered());
+                }
+            }
         }
     }
 

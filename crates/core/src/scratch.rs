@@ -314,8 +314,6 @@ pub(crate) struct WorkerState {
     pub excluded: Vec<VertexId>,
     /// Combined `candidates ++ excluded` universe of the current root branch.
     pub vertices: Vec<VertexId>,
-    /// Common-neighbour buffer of the edge-oriented root step.
-    pub common: Vec<VertexId>,
     /// The growing partial clique `S` (original vertex ids).
     pub partial: Vec<VertexId>,
 }

@@ -35,6 +35,7 @@
 //! pivot scan, and reduction-removed vertices act as permanent exclusion
 //! members of every branch they touch.
 
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use mce_graph::ordering::{edge_ordering, vertex_ordering, EdgeOrdering};
@@ -76,7 +77,13 @@ pub struct Solver<'g, G: GraphTopology = Graph> {
 pub(crate) struct RootPlan {
     pub reduction: Reduction,
     pub kind: RootKind,
+    /// Wall time of the graph reduction alone.
+    pub reduction_time: Duration,
+    /// Wall time of the vertex/edge ordering alone.
     pub ordering_time: Duration,
+    /// Wall time of the whole preparation: reduction, ordering and (under
+    /// the splitting scheduler) the connected-components sharding.
+    pub prepare_time: Duration,
     /// Component-grouped claim chunks for the splitting scheduler; `None`
     /// under the pulling schedulers (which claim plain rank ranges).
     pub shards: Option<RootShards>,
@@ -420,11 +427,13 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
     /// Computes the graph reduction and the root ordering once.
     pub(crate) fn prepare(&self) -> RootPlan {
         let g = self.graph;
+        let start = Instant::now();
         let reduction = if self.config.graph_reduction {
             reduce(g)
         } else {
             Reduction::disabled(g.n())
         };
+        let reduction_time = start.elapsed();
         let ordering_start = Instant::now();
         let kind = match self.config.initial {
             InitialBranching::Vertex(kind) => {
@@ -440,6 +449,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
                 depth,
             },
         };
+        let ordering_time = ordering_start.elapsed();
         // The splitting scheduler claims roots in per-connected-component
         // chunks (components are independent shards); the pulling schedulers
         // claim plain rank ranges and skip the O(n + m) component pass.
@@ -460,7 +470,9 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
         RootPlan {
             reduction,
             kind,
-            ordering_time: ordering_start.elapsed(),
+            reduction_time,
+            ordering_time,
+            prepare_time: start.elapsed(),
             shards,
         }
     }
@@ -468,7 +480,8 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
     /// Runs the given root ranks over a prepared plan. `with_static` selects
     /// whether this worker also emits the rank-independent output (graph
     /// reduction cliques, isolated vertices) — exactly one worker of a run
-    /// must do so.
+    /// must do so. That worker also carries the plan's preparation times,
+    /// and its `elapsed` includes the whole preparation.
     pub(crate) fn run_on_plan(
         &self,
         plan: &RootPlan,
@@ -489,7 +502,9 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
         };
         worker.prepare_for(self.graph.n());
         if with_static {
+            ctx.stats.reduction_time = plan.reduction_time;
             ctx.stats.ordering_time = plan.ordering_time;
+            ctx.stats.elapsed = plan.prepare_time;
             self.emit_static(plan, &mut ctx);
         }
         for rank in ranks {
@@ -498,7 +513,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             }
             self.run_root(plan, rank, worker, &mut ctx);
         }
-        ctx.stats.elapsed = start.elapsed();
+        ctx.stats.elapsed += start.elapsed();
         ctx.stats.busy_time = ctx.stats.elapsed;
         ctx.stats
     }
@@ -698,6 +713,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             topk: Some(&mut bound),
         };
         worker.prepare_for(g.n());
+        ctx.stats.reduction_time = plan.reduction_time;
         ctx.stats.ordering_time = plan.ordering_time;
         self.emit_static(&plan, &mut ctx);
         for rank in 0..plan.root_count() {
@@ -854,6 +870,12 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
     }
 
     /// Eq. (2): the root branch of the `rank`-th edge of the ordering.
+    ///
+    /// The ordering carries each edge's exact later-candidate count, so a
+    /// root with `C = ∅` is decided without a merge or a local graph
+    /// ([`Solver::empty_candidate_root`]). Otherwise one slot-aligned merge
+    /// splits the common neighbours into `C` and `X` with both triangle edge
+    /// ids in hand, and the local graph is built from the same edge index.
     fn edge_root(
         &self,
         reduction: &Reduction,
@@ -863,53 +885,82 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
         worker: &mut WorkerState,
         ctx: &mut Ctx<'_>,
     ) {
-        let g = self.graph;
-        let (u, v) = eo.index.endpoints(eo.order[rank]);
+        let e = eo.order[rank];
+        let (u, v) = eo.index.endpoints(e);
         if reduction.removed[u as usize] || reduction.removed[v as usize] {
             return;
         }
-        g.common_neighbors_into(u, v, &mut worker.common);
+        ctx.stats.initial_branches += 1;
+        let edge_levels = depth.saturating_sub(1);
+        if eo.later[e as usize] == 0 {
+            let x_empty = eo.triangle_free.contains(e as usize);
+            self.empty_candidate_root(&[u, v], x_empty, edge_levels, ctx);
+            return;
+        }
         worker.candidates.clear();
         worker.excluded.clear();
-        for i in 0..worker.common.len() {
-            let w = worker.common[i];
-            if reduction.removed[w as usize] {
-                worker.excluded.push(w);
-                continue;
-            }
-            let uw = eo.index.edge_id(u, w).expect("triangle edge (u,w) exists");
-            let vw = eo.index.edge_id(v, w).expect("triangle edge (v,w) exists");
-            if eo.position[uw as usize] > rank && eo.position[vw as usize] > rank {
-                worker.candidates.push(w);
+        let (candidates, excluded) = (&mut worker.candidates, &mut worker.excluded);
+        eo.index.for_each_common(u, v, |w, uw, vw| {
+            if !reduction.removed[w as usize]
+                && eo.position[uw as usize] > rank
+                && eo.position[vw as usize] > rank
+            {
+                candidates.push(w);
             } else {
-                worker.excluded.push(w);
+                excluded.push(w);
             }
-        }
-        ctx.stats.initial_branches += 1;
+            ControlFlow::Continue(())
+        });
         // Eq. (2): edges already processed at the root are removed from the
         // candidate graph of this branch.
-        build_root_branch(g, worker, |a, b| match eo.index.edge_id(a, b) {
-            Some(e) => eo.position[e as usize] > rank,
-            None => true,
-        });
-        worker.partial.clear();
-        worker.partial.push(u);
-        worker.partial.push(v);
         let WorkerState {
             scratch,
             lg,
+            position,
+            candidates,
+            excluded,
+            vertices,
             partial,
-            ..
         } = worker;
-        self.dispatch(
-            lg,
-            partial,
-            0,
-            depth.saturating_sub(1),
-            Some(eo),
-            ctx,
-            scratch,
+        gather_root_vertices(vertices, candidates, excluded);
+        lg.rebuild_from_edges(
+            &eo.index,
+            vertices,
+            candidates.len(),
+            |f| eo.position[f as usize] > rank,
+            position,
         );
+        load_root_frame(scratch, vertices.len(), candidates.len());
+        partial.clear();
+        partial.push(u);
+        partial.push(v);
+        self.dispatch(lg, partial, 0, edge_levels, Some(eo), ctx, scratch);
+    }
+
+    /// A root branch `(partial, ∅, X)`, decided without building it: the
+    /// same counters and output as running the configured recursion on it.
+    /// Every recursion counts one call and reports `partial` when `X` is
+    /// empty too; with `X ≠ ∅` an edge-oriented level still applies the
+    /// top-k size bound, and `BK_Rcd` still takes one budget step, before
+    /// they notice `C = ∅`.
+    fn empty_candidate_root(
+        &self,
+        partial: &[VertexId],
+        x_empty: bool,
+        edge_levels: usize,
+        ctx: &mut Ctx<'_>,
+    ) {
+        ctx.stats.recursive_calls += 1;
+        if x_empty {
+            ctx.report(partial);
+        } else if edge_levels > 0 {
+            let min = ctx.topk.as_deref().and_then(TopKBound::min_interesting);
+            if min.is_some_and(|min| partial.len() < min) {
+                ctx.stats.branches_pruned_by_color += 1;
+            }
+        } else if self.config.recursion == RecursionStrategy::Rcd {
+            ctx.budget_step_abort();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1347,20 +1398,33 @@ where
         vertices,
         ..
     } = worker;
+    gather_root_vertices(vertices, candidates, excluded);
+    lg.rebuild_filtered(g, vertices, keep_edge, position);
+    load_root_frame(scratch, vertices.len(), candidates.len());
+}
+
+/// The root branch's local universe: candidates first, then exclusions.
+fn gather_root_vertices(
+    vertices: &mut Vec<VertexId>,
+    candidates: &[VertexId],
+    excluded: &[VertexId],
+) {
     vertices.clear();
     vertices.extend_from_slice(candidates);
     vertices.extend_from_slice(excluded);
-    lg.rebuild_filtered(g, vertices, keep_edge, position);
-    let k = vertices.len();
+}
+
+/// Loads frame 0 with `C` = local ids `0..c_len` and `X` = the rest of `0..k`.
+fn load_root_frame(scratch: &mut SearchScratch, k: usize, c_len: usize) {
     scratch.ensure(0);
     let f0 = scratch.frame_mut(0);
     f0.reset(k);
     let mut c = f0.c_mut();
-    for i in 0..candidates.len() {
+    for i in 0..c_len {
         c.insert(i);
     }
     let mut x = f0.x_mut();
-    for i in candidates.len()..k {
+    for i in c_len..k {
         x.insert(i);
     }
 }
@@ -1672,6 +1736,50 @@ mod tests {
         assert!(stats.initial_branches > 0);
         assert_eq!(stats.maximal_cliques, 1);
         assert_eq!(stats.max_clique_size, 6);
+    }
+
+    #[test]
+    fn empty_candidate_edge_roots_count_one_call_each() {
+        // Triangle 0-1-2 with tail 2-3. The truss ordering peels the tail
+        // first (support 0, in no triangle: reported as a root leaf), then
+        // one triangle edge with C = {w}, whose recursion reports the
+        // triangle; the last two edges have C = ∅ but a common neighbour in
+        // X, so they count one call each and report nothing.
+        let g = Graph::from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]).unwrap();
+        let depth2 = SolverConfig {
+            graph_reduction: false,
+            ..SolverConfig::hbbmc_pp_depth(2)
+        };
+        for config in [SolverConfig::hbbmc_bare(), depth2, SolverConfig::ebbmc()] {
+            let (got, stats) = enumerate_collect(&g, &config);
+            assert_eq!(got, vec![vec![0, 1, 2], vec![2, 3]]);
+            assert_eq!(stats.initial_branches, 4);
+            assert_eq!(stats.recursive_calls, 5, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn elapsed_covers_reduction_and_ordering() {
+        let g = mce_gen::barabasi_albert(3_000, 6, 5);
+        let mut splitting = SolverConfig::hbbmc_pp();
+        splitting.scheduler = RootScheduler::Splitting;
+        for config in [SolverConfig::hbbmc_pp(), SolverConfig::r_degen(), splitting] {
+            let (_, seq) = count_maximal_cliques(&g, &config);
+            let (_, par) = crate::par_count_maximal_cliques(&g, &config, 2);
+            let mut sink = CountReporter::new();
+            let ordered = crate::par_enumerate_ordered(&g, &config, 2, &mut sink).unwrap();
+            for stats in [seq, par, ordered] {
+                assert!(stats.ordering_time > Duration::ZERO);
+                assert!(stats.reduction_time > Duration::ZERO);
+                assert!(
+                    stats.reduction_time + stats.ordering_time <= stats.elapsed,
+                    "reduction {:?} + ordering {:?} > elapsed {:?}",
+                    stats.reduction_time,
+                    stats.ordering_time,
+                    stats.elapsed
+                );
+            }
+        }
     }
 
     #[test]

@@ -58,9 +58,14 @@ pub struct EnumerationStats {
     /// the initial greedy clique when it is non-empty. 0 for plain
     /// enumeration runs.
     pub lb_updates: u64,
-    /// Wall-clock time of the whole run (ordering + reduction + enumeration).
+    /// Wall-clock time of the whole run (reduction + ordering + enumeration).
     pub elapsed: Duration,
-    /// Wall-clock time spent computing the vertex/edge ordering of the root.
+    /// Wall-clock time spent in the graph reduction preprocessing (zero when
+    /// reduction is disabled or the run has no root phase).
+    pub reduction_time: Duration,
+    /// Wall-clock time spent computing the vertex/edge ordering of the root
+    /// alone (not the reduction, nor the splitting scheduler's
+    /// connected-components pass, which only `elapsed` covers).
     pub ordering_time: Duration,
     /// Summed per-worker wall time spent executing enumeration work (as
     /// opposed to waiting for work). `busy_time / (elapsed × threads)` is the
@@ -103,6 +108,7 @@ impl EnumerationStats {
         self.branches_pruned_by_core += other.branches_pruned_by_core;
         self.lb_updates += other.lb_updates;
         self.elapsed = self.elapsed.max(other.elapsed);
+        self.reduction_time += other.reduction_time;
         self.ordering_time += other.ordering_time;
         self.busy_time += other.busy_time;
     }
@@ -112,13 +118,15 @@ impl std::fmt::Display for EnumerationStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} maximal cliques (max size {}) in {:.3}s — {} calls, {} root branches, \
-             ET {}/{} (ratio {:.1}%), GR reported {} over {} removed vertices, \
+            "{} maximal cliques (max size {}) in {:.3}s (reduction {:.3}s, ordering {:.3}s) — \
+             {} calls, {} root branches, ET {}/{} (ratio {:.1}%), GR reported {} over {} removed vertices, \
              {} splits / {} steals, {} budget-terminated, {} anchored-skipped, \
              B&B {} color-pruned / {} core-pruned / {} lb updates, busy {:.3}s",
             self.maximal_cliques,
             self.max_clique_size,
             self.elapsed.as_secs_f64(),
+            self.reduction_time.as_secs_f64(),
+            self.ordering_time.as_secs_f64(),
             self.recursive_calls,
             self.initial_branches,
             self.et_terminated,

@@ -11,10 +11,11 @@
 //!   (`HBBMC-dgn`) and edges ordered by the minimum degree of their endpoints
 //!   (`HBBMC-mdg`).
 
+use crate::bitset::BitSet;
 use crate::degeneracy::degeneracy_ordering;
 use crate::graph::VertexId;
 use crate::topology::GraphTopology;
-use crate::triangles::{EdgeId, EdgeIndex};
+use crate::triangles::{for_each_triangle, EdgeId, EdgeIndex};
 use crate::truss::truss_ordering;
 
 /// Vertex orderings used for the initial vertex-oriented branching.
@@ -63,6 +64,13 @@ pub struct EdgeOrdering {
     pub order: Vec<EdgeId>,
     /// `position[e]` = rank of edge `e` in [`EdgeOrdering::order`].
     pub position: Vec<usize>,
+    /// `later[e]` = number of common neighbours `w` of `e`'s endpoints whose
+    /// edges to both endpoints come after `e` in the ordering: the exact
+    /// candidate count of `e`'s root branch before graph reduction (the
+    /// `peel_support` of the truss ordering).
+    pub later: Vec<u32>,
+    /// Edges that lie in no triangle.
+    pub triangle_free: BitSet,
 }
 
 impl EdgeOrdering {
@@ -91,6 +99,8 @@ pub fn edge_ordering<G: GraphTopology>(g: &G, kind: EdgeOrderingKind) -> EdgeOrd
                 index: t.index,
                 order: t.order,
                 position: t.position,
+                later: t.peel_support,
+                triangle_free: t.triangle_free,
             }
         }
         EdgeOrderingKind::DegeneracyLex => {
@@ -126,10 +136,25 @@ where
     for (i, &e) in order.iter().enumerate() {
         position[e as usize] = i;
     }
+    // Each triangle is a later candidate of its earliest edge only.
+    let mut later = vec![0u32; m];
+    let mut triangle_free = BitSet::full(m);
+    for_each_triangle(&index, |a, b, c| {
+        let first = [a, b, c]
+            .into_iter()
+            .min_by_key(|&e| position[e as usize])
+            .expect("three edges");
+        later[first as usize] += 1;
+        for e in [a, b, c] {
+            triangle_free.remove(e as usize);
+        }
+    });
     EdgeOrdering {
         index,
         order,
         position,
+        later,
+        triangle_free,
     }
 }
 
@@ -224,6 +249,37 @@ mod tests {
             let (a, b) = eo.edge_at(i);
             let p = deg.position[a as usize].min(deg.position[b as usize]);
             assert!(first_pos <= p);
+        }
+    }
+
+    #[test]
+    fn later_counts_and_triangle_bits_match_every_ordering() {
+        // K4 plus a tail closed into two more triangles (2-3-4, 4-5-6).
+        let g = Graph::from_edges(7, sample().edges().chain([(4, 6), (5, 6), (2, 4)])).unwrap();
+        let mut common = Vec::new();
+        for kind in [
+            EdgeOrderingKind::Truss,
+            EdgeOrderingKind::DegeneracyLex,
+            EdgeOrderingKind::MinDegree,
+        ] {
+            let eo = edge_ordering(&g, kind);
+            for (rank, &e) in eo.order.iter().enumerate() {
+                let (u, v) = eo.index.endpoints(e);
+                g.common_neighbors_into(u, v, &mut common);
+                let later = common
+                    .iter()
+                    .filter(|&&w| {
+                        let uw = eo.index.edge_id(u, w).unwrap() as usize;
+                        let vw = eo.index.edge_id(v, w).unwrap() as usize;
+                        eo.position[uw] > rank && eo.position[vw] > rank
+                    })
+                    .count();
+                assert_eq!(
+                    eo.later[e as usize] as usize, later,
+                    "{kind:?} edge {u}-{v}"
+                );
+                assert_eq!(eo.triangle_free.contains(e as usize), common.is_empty());
+            }
         }
     }
 

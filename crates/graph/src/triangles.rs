@@ -6,8 +6,13 @@
 //! participates in. This module provides
 //!
 //! * [`EdgeIndex`] — a canonical dense numbering of the undirected edges,
-//! * [`edge_supports`] — per-edge supports in `O(Σ_e min(deg u, deg v))`,
+//!   laid out slot-aligned beside every vertex's sorted neighbour list,
+//! * [`for_each_triangle`] — every triangle once, as its three edge ids, from
+//!   one degree-oriented pass in `O(m·√m)`,
+//! * [`edge_supports`] — per-edge supports from that pass,
 //! * [`triangle_count`] / [`list_triangles`] — global triangle statistics.
+
+use std::ops::ControlFlow;
 
 use crate::graph::VertexId;
 use crate::topology::GraphTopology;
@@ -15,43 +20,73 @@ use crate::topology::GraphTopology;
 /// Identifier of an undirected edge in an [`EdgeIndex`].
 pub type EdgeId = u32;
 
-/// Dense numbering of the undirected edges of a graph.
+/// Dense numbering of the undirected edges of a graph, slot-aligned with the
+/// adjacency.
 ///
-/// Edge ids follow the CSR "upper adjacency" order: edges are grouped by
-/// their smaller endpoint `u` and, within a group, sorted by the larger
-/// endpoint `v`. The index supports `O(log deg)` lookup of an edge id from
-/// its endpoints.
+/// Edge ids follow the "upper adjacency" order: edges are grouped by their
+/// smaller endpoint `u` and, within a group, sorted by the larger endpoint
+/// `v`.
+///
+/// The index keeps a CSR copy of the sorted neighbour lists and, in a
+/// parallel array, the id of the edge behind every slot: `slot_ids(u)[i]` is
+/// the id of `{u, neighbors(u)[i]}`. A merge of two neighbour lists therefore
+/// yields the ids of both triangle edges with no lookup
+/// ([`EdgeIndex::for_each_common`]), and [`EdgeIndex::edge_id`] is one search
+/// over the shorter of the two endpoint lists.
 #[derive(Clone, Debug)]
 pub struct EdgeIndex {
     /// `endpoints[e] = (u, v)` with `u < v`.
     endpoints: Vec<(VertexId, VertexId)>,
-    /// For each vertex `u`, the first edge id whose smaller endpoint is `u`.
-    upper_offsets: Vec<usize>,
-    /// Larger endpoints, parallel to the id range of each vertex.
-    upper_neighbors: Vec<VertexId>,
+    /// `neighbors[offsets[u]..offsets[u + 1]]` is the sorted adjacency of `u`.
+    offsets: Vec<usize>,
+    /// Concatenated sorted neighbour lists.
+    neighbors: Vec<VertexId>,
+    /// Edge id of every neighbour slot, parallel to `neighbors`.
+    slot_ids: Vec<EdgeId>,
 }
 
 impl EdgeIndex {
     /// Builds the edge index of `g`.
     pub fn new<G: GraphTopology>(g: &G) -> Self {
         let n = g.n();
-        let mut endpoints = Vec::with_capacity(g.m());
-        let mut upper_offsets = Vec::with_capacity(n + 1);
-        let mut upper_neighbors = Vec::with_capacity(g.m());
-        upper_offsets.push(0);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::with_capacity(2 * g.m());
+        offsets.push(0);
         for u in g.vertices_iter() {
-            for v in g.neighbors_iter(u) {
-                if v > u {
-                    endpoints.push((u, v));
-                    upper_neighbors.push(v);
+            neighbors.extend(g.neighbors_iter(u));
+            offsets.push(neighbors.len());
+        }
+        // `upper[v]` walks the slots of v's larger neighbours. Vertices are
+        // numbered in increasing order, so when `u` meets a smaller
+        // neighbour `v`, the edge `{v, u}` is the next unread upper slot of
+        // `v`, whose id was assigned when `v` was numbered.
+        let mut upper: Vec<usize> = (0..n)
+            .map(|v| {
+                offsets[v]
+                    + neighbors[offsets[v]..offsets[v + 1]].partition_point(|&w| (w as usize) < v)
+            })
+            .collect();
+        let mut endpoints = Vec::with_capacity(neighbors.len() / 2);
+        let mut slot_ids = vec![0 as EdgeId; neighbors.len()];
+        for u in 0..n {
+            for slot in offsets[u]..offsets[u + 1] {
+                let v = neighbors[slot];
+                if v as usize > u {
+                    slot_ids[slot] = endpoints.len() as EdgeId;
+                    endpoints.push((u as VertexId, v));
+                } else {
+                    let up = &mut upper[v as usize];
+                    debug_assert_eq!(neighbors[*up] as usize, u);
+                    slot_ids[slot] = slot_ids[*up];
+                    *up += 1;
                 }
             }
-            upper_offsets.push(endpoints.len());
         }
         EdgeIndex {
             endpoints,
-            upper_offsets,
-            upper_neighbors,
+            offsets,
+            neighbors,
+            slot_ids,
         }
     }
 
@@ -65,6 +100,11 @@ impl EdgeIndex {
         self.endpoints.is_empty()
     }
 
+    /// Number of vertices of the indexed graph.
+    pub fn n(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
     /// Endpoints `(u, v)` with `u < v` of edge `e`.
     #[inline]
     pub fn endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
@@ -76,18 +116,166 @@ impl EdgeIndex {
         &self.endpoints
     }
 
-    /// Looks up the id of the edge `{u, v}`, if present.
+    /// Degree of `u`.
+    #[inline]
+    pub fn degree(&self, u: VertexId) -> usize {
+        self.offsets[u as usize + 1] - self.offsets[u as usize]
+    }
+
+    /// The sorted neighbours of `u`.
+    #[inline]
+    pub fn neighbors(&self, u: VertexId) -> &[VertexId] {
+        &self.neighbors[self.offsets[u as usize]..self.offsets[u as usize + 1]]
+    }
+
+    /// Edge ids parallel to [`EdgeIndex::neighbors`]: `slot_ids(u)[i]` is the
+    /// id of `{u, neighbors(u)[i]}`.
+    #[inline]
+    pub fn slot_ids(&self, u: VertexId) -> &[EdgeId] {
+        &self.slot_ids[self.offsets[u as usize]..self.offsets[u as usize + 1]]
+    }
+
+    /// Looks up the id of the edge `{u, v}`, if present, by searching the
+    /// shorter of the two neighbour lists.
+    #[inline]
     pub fn edge_id(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
         if u == v {
             return None;
         }
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let lo = self.upper_offsets[a as usize];
-        let hi = self.upper_offsets[a as usize + 1];
-        self.upper_neighbors[lo..hi]
+        let (a, b) = if self.degree(u) <= self.degree(v) {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        self.neighbors(a)
             .binary_search(&b)
             .ok()
-            .map(|off| (lo + off) as EdgeId)
+            .map(|i| self.slot_ids[self.offsets[a as usize] + i])
+    }
+
+    /// Calls `each(w, id(u, w), id(v, w))` for every common neighbour `w` of
+    /// `u` and `v`, in increasing order of `w`, until `each` breaks.
+    ///
+    /// Lists of similar length are merged linearly; against a much longer
+    /// list the shorter one drives the merge and the longer one is galloped
+    /// through, so a hub costs `O(log deg)` per probe rather than a scan of
+    /// its whole list.
+    #[inline]
+    pub fn for_each_common<F>(&self, u: VertexId, v: VertexId, mut each: F)
+    where
+        F: FnMut(VertexId, EdgeId, EdgeId) -> ControlFlow<()>,
+    {
+        let (nu, iu) = (self.neighbors(u), self.slot_ids(u));
+        let (nv, iv) = (self.neighbors(v), self.slot_ids(v));
+        if nu.len() <= nv.len() {
+            merge_slots(nu, nv, |i, j| each(nu[i], iu[i], iv[j]));
+        } else {
+            merge_slots(nv, nu, |i, j| each(nv[i], iu[j], iv[i]));
+        }
+    }
+}
+
+/// Calls `each(i, j)` for every `short[i] == long[j]`, in increasing order,
+/// until `each` breaks. Both slices must be strictly increasing.
+///
+/// Lists of comparable length are merged linearly, advancing both cursors
+/// without a data-dependent branch; a list more than [`GALLOP_RATIO`] times
+/// longer is galloped through instead.
+#[inline]
+fn merge_slots<F>(short: &[VertexId], long: &[VertexId], mut each: F)
+where
+    F: FnMut(usize, usize) -> ControlFlow<()>,
+{
+    if long.len() < GALLOP_RATIO * short.len() {
+        let (mut i, mut j) = (0, 0);
+        while i < short.len() && j < long.len() {
+            let (a, b) = (short[i], long[j]);
+            if a == b && each(i, j).is_break() {
+                return;
+            }
+            i += usize::from(a <= b);
+            j += usize::from(a >= b);
+        }
+        return;
+    }
+    let mut j = 0;
+    for (i, &w) in short.iter().enumerate() {
+        j = gallop(long, j, w);
+        if j == long.len() {
+            return;
+        }
+        if long[j] == w {
+            if each(i, j).is_break() {
+                return;
+            }
+            j += 1;
+        }
+    }
+}
+
+/// Length ratio from which [`merge_slots`] gallops through the longer list.
+const GALLOP_RATIO: usize = 8;
+
+/// The first index `>= from` whose value is `>= w` (or `long.len()`), found
+/// by exponential then binary search.
+#[inline]
+fn gallop(long: &[VertexId], from: usize, w: VertexId) -> usize {
+    if from >= long.len() || long[from] >= w {
+        return from;
+    }
+    // Invariant: long[lo] < w.
+    let (mut lo, mut step) = (from, 1);
+    while lo + step < long.len() && long[lo + step] < w {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(long.len());
+    lo + 1 + long[lo + 1..hi].partition_point(|&x| x < w)
+}
+
+/// Calls `each(uv, vw, uw)` once for every triangle `{u, v, w}` of the
+/// indexed graph, with the ids of its three edges.
+///
+/// Edges are oriented from lower to higher `(degree, id)` rank, so every
+/// vertex keeps at most `O(√m)` out-neighbours; each triangle is found once,
+/// from its lowest-ranked vertex `u`, by marking `u`'s out-neighbours and
+/// scanning the out-neighbours of each out-neighbour `v`.
+pub fn for_each_triangle<F>(index: &EdgeIndex, mut each: F)
+where
+    F: FnMut(EdgeId, EdgeId, EdgeId),
+{
+    let n = index.n();
+    let rank = |v: VertexId| (index.degree(v), v);
+    let mut forward_offsets = Vec::with_capacity(n + 1);
+    let mut forward: Vec<(VertexId, EdgeId)> = Vec::with_capacity(index.len());
+    forward_offsets.push(0);
+    for u in 0..n as VertexId {
+        let ru = rank(u);
+        for (&v, &e) in index.neighbors(u).iter().zip(index.slot_ids(u)) {
+            if rank(v) > ru {
+                forward.push((v, e));
+            }
+        }
+        forward_offsets.push(forward.len());
+    }
+    let out = |u: usize| &forward[forward_offsets[u]..forward_offsets[u + 1]];
+    const UNMARKED: EdgeId = EdgeId::MAX;
+    let mut mark = vec![UNMARKED; n];
+    for u in 0..n {
+        for &(w, uw) in out(u) {
+            mark[w as usize] = uw;
+        }
+        for &(v, uv) in out(u) {
+            for &(w, vw) in out(v as usize) {
+                let uw = mark[w as usize];
+                if uw != UNMARKED {
+                    each(uv, vw, uw);
+                }
+            }
+        }
+        for &(w, _) in out(u) {
+            mark[w as usize] = UNMARKED;
+        }
     }
 }
 
@@ -97,44 +285,18 @@ impl EdgeIndex {
 pub fn edge_supports<G: GraphTopology>(g: &G) -> (EdgeIndex, Vec<u32>) {
     let index = EdgeIndex::new(g);
     let mut support = vec![0u32; index.len()];
-    let mut buf = Vec::new();
-    for (e, s) in support.iter_mut().enumerate() {
-        let (u, v) = index.endpoints(e as EdgeId);
-        g.common_neighbors_into(u, v, &mut buf);
-        *s = buf.len() as u32;
-    }
+    for_each_triangle(&index, |a, b, c| {
+        for e in [a, b, c] {
+            support[e as usize] += 1;
+        }
+    });
     (index, support)
 }
 
-/// Counts the triangles of `g`.
-///
-/// Uses forward-neighbourhood intersection over a degree ordering so dense
-/// graphs do not pay a quadratic factor per high-degree vertex.
+/// Counts the triangles of `g` with [`for_each_triangle`].
 pub fn triangle_count<G: GraphTopology>(g: &G) -> u64 {
-    let n = g.n();
-    // Rank vertices by (degree, id); forward edges go from lower to higher rank.
-    let mut rank = vec![0u32; n];
-    let mut by_degree: Vec<VertexId> = (0..n as VertexId).collect();
-    by_degree.sort_unstable_by_key(|&v| (g.degree(v), v));
-    for (r, &v) in by_degree.iter().enumerate() {
-        rank[v as usize] = r as u32;
-    }
-    let forward: Vec<Vec<VertexId>> = (0..n as VertexId)
-        .map(|u| {
-            let mut f: Vec<VertexId> = g
-                .neighbors_iter(u)
-                .filter(|&v| rank[v as usize] > rank[u as usize])
-                .collect();
-            f.sort_unstable();
-            f
-        })
-        .collect();
     let mut count = 0u64;
-    for u in 0..n {
-        for &v in &forward[u] {
-            count += sorted_intersection_len(&forward[u], &forward[v as usize]) as u64;
-        }
-    }
+    for_each_triangle(&EdgeIndex::new(g), |_, _, _| count += 1);
     count
 }
 
@@ -158,22 +320,6 @@ pub fn list_triangles<G: GraphTopology>(g: &G) -> Vec<(VertexId, VertexId, Verte
     out
 }
 
-fn sorted_intersection_len(a: &[VertexId], b: &[VertexId]) -> usize {
-    let (mut i, mut j, mut c) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                c += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +340,14 @@ mod tests {
         assert_eq!(all, vec![(0, 1), (0, 2), (1, 2), (2, 3)]);
     }
 
+    /// A hub 0 joined to every vertex, plus a path 1-2-…-9: lists of very
+    /// different lengths, so lookups and merges take both search paths.
+    fn hub_with_path() -> Graph {
+        let hub = (1..10).map(|v| (0, v));
+        let path = (1..9).map(|v| (v, v + 1));
+        Graph::from_edges(10, hub.chain(path)).unwrap()
+    }
+
     #[test]
     fn edge_id_lookup_both_orientations() {
         let g = triangle_with_tail();
@@ -203,6 +357,103 @@ mod tests {
         assert_eq!(idx.edge_id(0, 2), Some(e));
         assert_eq!(idx.edge_id(1, 3), None);
         assert_eq!(idx.edge_id(3, 3), None);
+
+        // Every edge, looked up from either end (the search runs over the
+        // shorter list, hub or leaf), maps back to its own endpoints.
+        let g = hub_with_path();
+        let idx = EdgeIndex::new(&g);
+        for (e, &(u, v)) in idx.all_endpoints().iter().enumerate() {
+            assert_eq!(idx.edge_id(u, v), Some(e as EdgeId));
+            assert_eq!(idx.edge_id(v, u), Some(e as EdgeId));
+        }
+        assert_eq!(idx.edge_id(9, 1), None);
+        assert_eq!(idx.edge_id(2, 7), None);
+    }
+
+    #[test]
+    fn slot_ids_are_aligned_with_sorted_neighbors() {
+        let g = hub_with_path();
+        let idx = EdgeIndex::new(&g);
+        for u in g.vertices() {
+            assert_eq!(idx.neighbors(u), g.neighbors(u));
+            assert_eq!(idx.degree(u), g.degree(u));
+            for (&w, &e) in idx.neighbors(u).iter().zip(idx.slot_ids(u)) {
+                let (a, b) = idx.endpoints(e);
+                assert_eq!((a, b), (u.min(w), u.max(w)));
+            }
+        }
+    }
+
+    #[test]
+    fn common_edge_merge_yields_both_triangle_edge_ids() {
+        let g = Graph::complete(12);
+        let idx = EdgeIndex::new(&g);
+        let mut common = Vec::new();
+        let mut buf = Vec::new();
+        for (u, v) in [(0, 1), (3, 11), (11, 3), (5, 6)] {
+            common.clear();
+            idx.for_each_common(u, v, |w, uw, vw| {
+                assert_eq!(idx.edge_id(u, w), Some(uw));
+                assert_eq!(idx.edge_id(v, w), Some(vw));
+                common.push(w);
+                ControlFlow::Continue(())
+            });
+            g.common_neighbors_into(u, v, &mut buf);
+            assert_eq!(common, buf, "common neighbours of ({u}, {v}) in order");
+        }
+        // Lists of very different lengths (hub vs path vertex) gallop.
+        let g = hub_with_path();
+        let idx = EdgeIndex::new(&g);
+        for (u, v) in [(0, 5), (5, 0), (0, 9), (3, 4)] {
+            common.clear();
+            idx.for_each_common(u, v, |w, uw, vw| {
+                assert_eq!(idx.endpoints(uw), (u.min(w), u.max(w)));
+                assert_eq!(idx.endpoints(vw), (v.min(w), v.max(w)));
+                common.push(w);
+                ControlFlow::Continue(())
+            });
+            g.common_neighbors_into(u, v, &mut buf);
+            assert_eq!(common, buf, "common neighbours of ({u}, {v}) in order");
+        }
+        // Breaking stops the merge at once.
+        let mut seen = 0;
+        EdgeIndex::new(&Graph::complete(12)).for_each_common(0, 1, |_, _, _| {
+            seen += 1;
+            ControlFlow::Break(())
+        });
+        assert_eq!(seen, 1);
+    }
+
+    #[test]
+    fn gallop_finds_the_first_slot_not_below_the_target() {
+        let long: Vec<VertexId> = (0..100).map(|i| 3 * i).collect();
+        for from in [0, 1, 17, 99, 100] {
+            for w in [0, 1, 3, 50, 51, 297, 298, 400] {
+                let expected = from.max(long.partition_point(|&x| x < w));
+                assert_eq!(gallop(&long, from, w), expected, "from {from}, w {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_triangle_lists_each_triangle_once() {
+        let g = Graph::complete(7);
+        let idx = EdgeIndex::new(&g);
+        let mut seen = std::collections::BTreeSet::new();
+        for_each_triangle(&idx, |a, b, c| {
+            let mut vs: Vec<VertexId> = [a, b, c]
+                .iter()
+                .flat_map(|&e| {
+                    let (u, v) = idx.endpoints(e);
+                    [u, v]
+                })
+                .collect();
+            vs.sort_unstable();
+            vs.dedup();
+            assert_eq!(vs.len(), 3, "three edges of one triangle");
+            assert!(seen.insert(vs), "triangle listed twice");
+        });
+        assert_eq!(seen.len(), 35);
     }
 
     #[test]

@@ -9,10 +9,15 @@
 //! produced by edge-oriented branching; τ < δ always holds (strictly, in the
 //! sense that τ ≤ δ − 1 on any graph with at least one edge).
 //!
-//! The peeling is the standard bucket-queue truss decomposition, giving an
-//! `O(δ·m)`-style running time (`O(Σ_e min(deg u, deg v))` for the support
-//! updates).
+//! The peeling is the standard bucket-queue truss decomposition. Supports
+//! come from one degree-oriented triangle pass (`O(m·√m)`); the peel merges
+//! the slot-aligned neighbour lists of each removed edge, which yields the ids
+//! of both triangle edges directly, skips edges with no remaining triangle and
+//! stops as soon as the remaining ones are found.
 
+use std::ops::ControlFlow;
+
+use crate::bitset::BitSet;
 use crate::graph::VertexId;
 use crate::topology::GraphTopology;
 use crate::triangles::{edge_supports, EdgeId, EdgeIndex};
@@ -26,8 +31,12 @@ pub struct TrussOrdering {
     pub order: Vec<EdgeId>,
     /// `position[e]` = index of edge `e` in [`TrussOrdering::order`].
     pub position: Vec<usize>,
-    /// Remaining support of each edge at the moment it was removed.
+    /// Remaining support of each edge at the moment it was removed: exactly
+    /// the number of common neighbours `w` whose edges to both endpoints are
+    /// peeled later.
     pub peel_support: Vec<u32>,
+    /// Edges that lie in no triangle (initial support 0).
+    pub triangle_free: BitSet,
     /// τ: the maximum `peel_support` over all edges (0 for triangle-free graphs).
     pub tau: usize,
 }
@@ -55,10 +64,24 @@ impl TrussOrdering {
 }
 
 /// Computes the truss-based edge ordering and the truss parameter τ of `g`.
+///
+/// Supports come from one oriented triangle pass ([`edge_supports`]). The
+/// peel then walks the slot-aligned common neighbours of each removed edge
+/// ([`EdgeIndex::for_each_common`]), which hands over both triangle edge ids
+/// with no lookup. An edge whose remaining support is 0 needs no merge, and
+/// the merge stops once the edge's remaining triangles have all been found:
+/// the remaining support counts exactly the triangles whose other two edges
+/// are still alive, and only those cause bucket pushes.
 pub fn truss_ordering<G: GraphTopology>(g: &G) -> TrussOrdering {
     let (index, mut support) = edge_supports(g);
     let m = index.len();
     let max_sup = support.iter().copied().max().unwrap_or(0) as usize;
+    let mut triangle_free = BitSet::with_capacity(m);
+    for (e, &s) in support.iter().enumerate() {
+        if s == 0 {
+            triangle_free.insert(e);
+        }
+    }
 
     // Bucket queue keyed by current support; entries can be stale.
     let mut buckets: Vec<Vec<EdgeId>> = vec![Vec::new(); max_sup + 1];
@@ -72,7 +95,6 @@ pub fn truss_ordering<G: GraphTopology>(g: &G) -> TrussOrdering {
     let mut peel_support = vec![0u32; m];
     let mut tau = 0usize;
     let mut current = 0usize;
-    let mut buf = Vec::new();
 
     for step in 0..m {
         let e = loop {
@@ -86,32 +108,38 @@ pub fn truss_ordering<G: GraphTopology>(g: &G) -> TrussOrdering {
             }
         };
 
+        let remaining = support[e as usize];
         alive[e as usize] = false;
-        peel_support[e as usize] = support[e as usize];
-        tau = tau.max(support[e as usize] as usize);
+        peel_support[e as usize] = remaining;
+        tau = tau.max(remaining as usize);
         position[e as usize] = step;
         order.push(e);
-
-        // Every triangle (u, v, w) through e = (u, v) loses this edge: decrement
-        // the supports of (u, w) and (v, w) if both are still alive.
-        let (u, v) = index.endpoints(e);
-        g.common_neighbors_into(u, v, &mut buf);
-        for &w in &buf {
-            let uw = index.edge_id(u, w).expect("triangle edge (u,w) must exist");
-            let vw = index.edge_id(v, w).expect("triangle edge (v,w) must exist");
-            if alive[uw as usize] && alive[vw as usize] {
-                for &f in &[uw, vw] {
-                    let fi = f as usize;
-                    if support[fi] > 0 {
-                        support[fi] -= 1;
-                        buckets[support[fi] as usize].push(f);
-                        if (support[fi] as usize) < current {
-                            current = support[fi] as usize;
-                        }
-                    }
-                }
-            }
+        if remaining == 0 {
+            continue;
         }
+
+        // Every triangle (u, v, w) through e = (u, v) whose edges (u, w) and
+        // (v, w) are both alive loses e: decrement both supports.
+        let (u, v) = index.endpoints(e);
+        let mut left = remaining;
+        index.for_each_common(u, v, |_, uw, vw| {
+            if !(alive[uw as usize] && alive[vw as usize]) {
+                return ControlFlow::Continue(());
+            }
+            for f in [uw, vw] {
+                let fi = f as usize;
+                support[fi] -= 1;
+                buckets[support[fi] as usize].push(f);
+                current = current.min(support[fi] as usize);
+            }
+            left -= 1;
+            if left == 0 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        debug_assert_eq!(left, 0, "remaining support counts live triangles");
     }
 
     TrussOrdering {
@@ -119,6 +147,7 @@ pub fn truss_ordering<G: GraphTopology>(g: &G) -> TrussOrdering {
         order,
         position,
         peel_support,
+        triangle_free,
         tau,
     }
 }
@@ -202,7 +231,8 @@ mod tests {
     fn peel_support_bounds_later_common_neighbors() {
         // Structural property used by the paper: for each edge e, the number of
         // common neighbours w of its endpoints such that both triangle edges are
-        // peeled after e is at most peel_support[e] <= tau.
+        // peeled after e is exactly peel_support[e] <= tau. The edge roots
+        // rely on the equality to decide C = ∅ without a merge.
         let g = Graph::from_edges(
             8,
             [
@@ -235,8 +265,9 @@ mod tests {
                     t.position[uw as usize] > i && t.position[vw as usize] > i
                 })
                 .count();
-            assert!(later <= t.peel_support[e as usize] as usize);
+            assert_eq!(later, t.peel_support[e as usize] as usize);
             assert!(later <= t.tau);
+            assert_eq!(t.triangle_free.contains(e as usize), buf.is_empty());
         }
     }
 

@@ -86,6 +86,7 @@ proptest! {
                     t.position[uw] > i && t.position[vw] > i
                 })
                 .count();
+            prop_assert_eq!(later, t.peel_support[e as usize] as usize);
             prop_assert!(later <= t.tau);
         }
     }
