@@ -325,10 +325,16 @@ impl WorkerState {
     }
 
     /// Prepares the state for a run over a graph with `n` vertices.
+    ///
+    /// `position` is all `u32::MAX` between calls, so it is only refilled
+    /// when `n` changes: the ordered parallel drivers call this once per
+    /// root rank, and an `O(n)` fill there costs more than the root.
     pub fn prepare_for(&mut self, n: usize) {
         debug_assert!(self.position.iter().all(|&p| p == u32::MAX));
-        self.position.clear();
-        self.position.resize(n, u32::MAX);
+        if self.position.len() != n {
+            self.position.clear();
+            self.position.resize(n, u32::MAX);
+        }
     }
 }
 

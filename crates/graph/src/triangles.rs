@@ -179,7 +179,7 @@ impl EdgeIndex {
 /// until `each` breaks. Both slices must be strictly increasing.
 ///
 /// Lists of comparable length are merged linearly, advancing both cursors
-/// without a data-dependent branch; a list more than [`GALLOP_RATIO`] times
+/// without a data-dependent branch; a list at least [`GALLOP_RATIO`] times
 /// longer is galloped through instead.
 #[inline]
 fn merge_slots<F>(short: &[VertexId], long: &[VertexId], mut each: F)
