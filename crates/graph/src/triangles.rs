@@ -300,23 +300,19 @@ pub fn triangle_count<G: GraphTopology>(g: &G) -> u64 {
     count
 }
 
-/// Lists every triangle of `g` exactly once as `(a, b, c)` with `a < b < c`.
+/// Lists every triangle of `g` exactly once as `(a, b, c)` with `a < b < c`,
+/// in lexicographic order.
 pub fn list_triangles<G: GraphTopology>(g: &G) -> Vec<(VertexId, VertexId, VertexId)> {
+    let index = EdgeIndex::new(g);
     let mut out = Vec::new();
-    let mut buf = Vec::new();
-    for u in g.vertices_iter() {
-        for v in g.neighbors_iter(u) {
-            if v <= u {
-                continue;
-            }
-            g.common_neighbors_into(u, v, &mut buf);
-            for &w in &buf {
-                if w > v {
-                    out.push((u, v, w));
-                }
-            }
-        }
-    }
+    for_each_triangle(&index, |uv, vw, _| {
+        let ((a, b), (c, d)) = (index.endpoints(uv), index.endpoints(vw));
+        let w = if c == a || c == b { d } else { c };
+        let mut t = [a, b, w];
+        t.sort_unstable();
+        out.push((t[0], t[1], t[2]));
+    });
+    out.sort_unstable();
     out
 }
 
