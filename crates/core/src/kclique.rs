@@ -107,7 +107,6 @@ pub(crate) fn for_each_k_clique_with_state(
     let mut aborted = 0u64;
     let eo = edge_ordering(g, EdgeOrderingKind::Truss);
     let mut candidates = Vec::new();
-    let mut position = vec![u32::MAX; g.n()];
     let mut lg = LocalGraph::new();
     for (rank, &edge) in eo.order.iter().enumerate() {
         if state.note_step() {
@@ -129,13 +128,9 @@ pub(crate) fn for_each_k_clique_with_state(
         });
         // Inside the branch only edges ordered after the branching edge count,
         // so a k-clique is visited exactly once: at its earliest edge.
-        lg.rebuild_from_edges(
-            &eo.index,
-            &candidates,
-            candidates.len(),
-            |e| eo.position[e as usize] > rank,
-            &mut position,
-        );
+        lg.rebuild_from_edges(&eo.index, &candidates, candidates.len(), |e| {
+            eo.position[e as usize] > rank
+        });
         let mut c = BitSet::with_capacity(lg.len());
         for i in 0..lg.len() {
             c.insert(i);

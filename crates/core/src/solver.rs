@@ -916,20 +916,16 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
         let WorkerState {
             scratch,
             lg,
-            position,
             candidates,
             excluded,
             vertices,
             partial,
+            ..
         } = worker;
         gather_root_vertices(vertices, candidates, excluded);
-        lg.rebuild_from_edges(
-            &eo.index,
-            vertices,
-            candidates.len(),
-            |f| eo.position[f as usize] > rank,
-            position,
-        );
+        lg.rebuild_from_edges(&eo.index, vertices, candidates.len(), |f| {
+            eo.position[f as usize] > rank
+        });
         load_root_frame(scratch, vertices.len(), candidates.len());
         partial.clear();
         partial.push(u);

@@ -32,17 +32,21 @@ pub type EdgeId = u32;
 /// the id of `{u, neighbors(u)[i]}`. A merge of two neighbour lists therefore
 /// yields the ids of both triangle edges with no lookup
 /// ([`EdgeIndex::for_each_common`]), and [`EdgeIndex::edge_id`] is one search
-/// over the shorter of the two endpoint lists.
+/// over the shorter of the two endpoint lists. The endpoints of an edge are
+/// read back from its slot ([`EdgeIndex::endpoints`]), so the index costs
+/// `8(n+1) + 4(n+1) + 16m` bytes.
 #[derive(Clone, Debug)]
 pub struct EdgeIndex {
-    /// `endpoints[e] = (u, v)` with `u < v`.
-    endpoints: Vec<(VertexId, VertexId)>,
     /// `neighbors[offsets[u]..offsets[u + 1]]` is the sorted adjacency of `u`.
     offsets: Vec<usize>,
     /// Concatenated sorted neighbour lists.
     neighbors: Vec<VertexId>,
     /// Edge id of every neighbour slot, parallel to `neighbors`.
     slot_ids: Vec<EdgeId>,
+    /// `first_id[u]` is the first id of the edges whose smaller endpoint is
+    /// `u`; they hold the last `first_id[u + 1] - first_id[u]` slots of `u`'s
+    /// list. `first_id[n]` is the number of edges.
+    first_id: Vec<EdgeId>,
 }
 
 impl EdgeIndex {
@@ -66,14 +70,16 @@ impl EdgeIndex {
                     + neighbors[offsets[v]..offsets[v + 1]].partition_point(|&w| (w as usize) < v)
             })
             .collect();
-        let mut endpoints = Vec::with_capacity(neighbors.len() / 2);
+        let mut first_id = Vec::with_capacity(n + 1);
+        let mut next: EdgeId = 0;
         let mut slot_ids = vec![0 as EdgeId; neighbors.len()];
         for u in 0..n {
+            first_id.push(next);
             for slot in offsets[u]..offsets[u + 1] {
                 let v = neighbors[slot];
                 if v as usize > u {
-                    slot_ids[slot] = endpoints.len() as EdgeId;
-                    endpoints.push((u as VertexId, v));
+                    slot_ids[slot] = next;
+                    next += 1;
                 } else {
                     let up = &mut upper[v as usize];
                     debug_assert_eq!(neighbors[*up] as usize, u);
@@ -82,22 +88,23 @@ impl EdgeIndex {
                 }
             }
         }
+        first_id.push(next);
         EdgeIndex {
-            endpoints,
             offsets,
             neighbors,
             slot_ids,
+            first_id,
         }
     }
 
     /// Number of edges.
     pub fn len(&self) -> usize {
-        self.endpoints.len()
+        self.first_id[self.n()] as usize
     }
 
     /// Whether the graph has no edges.
     pub fn is_empty(&self) -> bool {
-        self.endpoints.is_empty()
+        self.len() == 0
     }
 
     /// Number of vertices of the indexed graph.
@@ -105,15 +112,14 @@ impl EdgeIndex {
         self.offsets.len() - 1
     }
 
-    /// Endpoints `(u, v)` with `u < v` of edge `e`.
+    /// Endpoints `(u, v)` with `u < v` of edge `e`: `u` is found by a binary
+    /// search over the per-vertex first ids, `v` in `u`'s upper slots.
     #[inline]
     pub fn endpoints(&self, e: EdgeId) -> (VertexId, VertexId) {
-        self.endpoints[e as usize]
-    }
-
-    /// All endpoints, indexed by edge id.
-    pub fn all_endpoints(&self) -> &[(VertexId, VertexId)] {
-        &self.endpoints
+        debug_assert!((e as usize) < self.len());
+        let u = self.first_id.partition_point(|&f| f <= e) - 1;
+        let slot = self.offsets[u + 1] - (self.first_id[u + 1] - e) as usize;
+        (u as VertexId, self.neighbors[slot])
     }
 
     /// Degree of `u`.
@@ -155,11 +161,6 @@ impl EdgeIndex {
 
     /// Calls `each(w, id(u, w), id(v, w))` for every common neighbour `w` of
     /// `u` and `v`, in increasing order of `w`, until `each` breaks.
-    ///
-    /// Lists of similar length are merged linearly; against a much longer
-    /// list the shorter one drives the merge and the longer one is galloped
-    /// through, so a hub costs `O(log deg)` per probe rather than a scan of
-    /// its whole list.
     #[inline]
     pub fn for_each_common<F>(&self, u: VertexId, v: VertexId, mut each: F)
     where
@@ -167,70 +168,17 @@ impl EdgeIndex {
     {
         let (nu, iu) = (self.neighbors(u), self.slot_ids(u));
         let (nv, iv) = (self.neighbors(v), self.slot_ids(v));
-        if nu.len() <= nv.len() {
-            merge_slots(nu, nv, |i, j| each(nu[i], iu[i], iv[j]));
-        } else {
-            merge_slots(nv, nu, |i, j| each(nv[i], iu[j], iv[i]));
-        }
-    }
-}
-
-/// Calls `each(i, j)` for every `short[i] == long[j]`, in increasing order,
-/// until `each` breaks. Both slices must be strictly increasing.
-///
-/// Lists of comparable length are merged linearly, advancing both cursors
-/// without a data-dependent branch; a list at least [`GALLOP_RATIO`] times
-/// longer is galloped through instead.
-#[inline]
-fn merge_slots<F>(short: &[VertexId], long: &[VertexId], mut each: F)
-where
-    F: FnMut(usize, usize) -> ControlFlow<()>,
-{
-    if long.len() < GALLOP_RATIO * short.len() {
+        // Both cursors advance without a data-dependent branch.
         let (mut i, mut j) = (0, 0);
-        while i < short.len() && j < long.len() {
-            let (a, b) = (short[i], long[j]);
-            if a == b && each(i, j).is_break() {
+        while i < nu.len() && j < nv.len() {
+            let (a, b) = (nu[i], nv[j]);
+            if a == b && each(a, iu[i], iv[j]).is_break() {
                 return;
             }
             i += usize::from(a <= b);
             j += usize::from(a >= b);
         }
-        return;
     }
-    let mut j = 0;
-    for (i, &w) in short.iter().enumerate() {
-        j = gallop(long, j, w);
-        if j == long.len() {
-            return;
-        }
-        if long[j] == w {
-            if each(i, j).is_break() {
-                return;
-            }
-            j += 1;
-        }
-    }
-}
-
-/// Length ratio from which [`merge_slots`] gallops through the longer list.
-const GALLOP_RATIO: usize = 8;
-
-/// The first index `>= from` whose value is `>= w` (or `long.len()`), found
-/// by exponential then binary search.
-#[inline]
-fn gallop(long: &[VertexId], from: usize, w: VertexId) -> usize {
-    if from >= long.len() || long[from] >= w {
-        return from;
-    }
-    // Invariant: long[lo] < w.
-    let (mut lo, mut step) = (from, 1);
-    while lo + step < long.len() && long[lo + step] < w {
-        lo += step;
-        step *= 2;
-    }
-    let hi = (lo + step).min(long.len());
-    lo + 1 + long[lo + 1..hi].partition_point(|&x| x < w)
 }
 
 /// Calls `each(uv, vw, uw)` once for every triangle `{u, v, w}` of the
@@ -332,12 +280,12 @@ mod tests {
         let idx = EdgeIndex::new(&g);
         assert_eq!(idx.len(), 4);
         assert!(!idx.is_empty());
-        let all: Vec<_> = idx.all_endpoints().to_vec();
+        let all: Vec<_> = (0..4).map(|e| idx.endpoints(e)).collect();
         assert_eq!(all, vec![(0, 1), (0, 2), (1, 2), (2, 3)]);
     }
 
     /// A hub 0 joined to every vertex, plus a path 1-2-…-9: lists of very
-    /// different lengths, so lookups and merges take both search paths.
+    /// different lengths.
     fn hub_with_path() -> Graph {
         let hub = (1..10).map(|v| (0, v));
         let path = (1..9).map(|v| (v, v + 1));
@@ -358,9 +306,10 @@ mod tests {
         // shorter list, hub or leaf), maps back to its own endpoints.
         let g = hub_with_path();
         let idx = EdgeIndex::new(&g);
-        for (e, &(u, v)) in idx.all_endpoints().iter().enumerate() {
-            assert_eq!(idx.edge_id(u, v), Some(e as EdgeId));
-            assert_eq!(idx.edge_id(v, u), Some(e as EdgeId));
+        for e in 0..idx.len() as EdgeId {
+            let (u, v) = idx.endpoints(e);
+            assert_eq!(idx.edge_id(u, v), Some(e));
+            assert_eq!(idx.edge_id(v, u), Some(e));
         }
         assert_eq!(idx.edge_id(9, 1), None);
         assert_eq!(idx.edge_id(2, 7), None);
@@ -397,7 +346,7 @@ mod tests {
             g.common_neighbors_into(u, v, &mut buf);
             assert_eq!(common, buf, "common neighbours of ({u}, {v}) in order");
         }
-        // Lists of very different lengths (hub vs path vertex) gallop.
+        // Lists of very different lengths (hub vs path vertex).
         let g = hub_with_path();
         let idx = EdgeIndex::new(&g);
         for (u, v) in [(0, 5), (5, 0), (0, 9), (3, 4)] {
@@ -418,17 +367,6 @@ mod tests {
             ControlFlow::Break(())
         });
         assert_eq!(seen, 1);
-    }
-
-    #[test]
-    fn gallop_finds_the_first_slot_not_below_the_target() {
-        let long: Vec<VertexId> = (0..100).map(|i| 3 * i).collect();
-        for from in [0, 1, 17, 99, 100] {
-            for w in [0, 1, 3, 50, 51, 297, 298, 400] {
-                let expected = from.max(long.partition_point(|&x| x < w));
-                assert_eq!(gallop(&long, from, w), expected, "from {from}, w {w}");
-            }
-        }
     }
 
     #[test]
