@@ -487,10 +487,6 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     // socket into a write error, which cancels its session (CancelWriter)
     // instead of blocking the handler forever.
     let _ = stream.set_write_timeout(shared.config.write_timeout);
-    // Every response is a few small frames flushed separately (`begin`, the
-    // cliques, `end`). With Nagle's algorithm on, each flush after the first
-    // waits for the client's delayed ACK, which pins every query at ~40 ms.
-    let _ = stream.set_nodelay(true);
     let conn = Arc::new(Mutex::new(ConnState::default()));
     let (tx, rx) = mpsc::channel();
     let reader = {
