@@ -1,15 +1,16 @@
-//! Skewed-graph scheduler benchmark with a JSON trajectory emitter.
+//! Skewed-graph load-balance benchmark of the parallel driver with a JSON
+//! trajectory emitter.
 //!
 //! ```text
 //! cargo bench --bench bench_scheduler -- [--quick] [--repeats N]
 //!                                        [--variant NAME] [--json PATH]
 //! ```
 //!
-//! Runs the skewed graphs × {dynamic, splitting} × thread-count matrix of
-//! [`mce_bench::scheduler`] and, when `--json` is given, appends one record
-//! per cell to the trajectory file (typically the workspace-level
-//! `BENCH_solver.json`), re-validating the file — including the new
-//! scheduler fields — afterwards. Unknown flags injected by the cargo bench
+//! Runs the skewed graphs × thread-count matrix of [`mce_bench::scheduler`]
+//! and, when `--json` is given, appends one record per cell to the
+//! trajectory file (typically the workspace-level `BENCH_solver.json`),
+//! re-validating the scheduler records — splits, steals, busy fraction and
+//! max worker share — afterwards. Unknown flags injected by the cargo bench
 //! harness (`--bench`, ...) are ignored.
 
 use std::path::PathBuf;

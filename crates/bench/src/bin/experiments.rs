@@ -134,8 +134,9 @@ fn main() {
     }
 }
 
-/// The `scheduler` experiment: the skewed-graph dynamic-vs-splitting matrix,
-/// optionally appended to the perf trajectory file.
+/// The `scheduler` experiment: the parallel driver's load balance on skewed
+/// graphs at 1/2/4/8 threads, optionally appended to the perf trajectory
+/// file.
 fn run_scheduler_experiment(quick: bool, variant: &str, json_path: Option<&std::path::Path>) {
     let options = SchedulerBenchOptions {
         variant: variant.to_string(),

@@ -26,7 +26,7 @@ use mce_gen::erdos_renyi;
 use mce_graph::io::{read_graph_bytes, write_graph, GraphFormat};
 use mce_graph::Graph;
 
-use crate::json::{append_runs, parse, JsonValue};
+use crate::json::{append_validated, JsonValue};
 
 /// Schema tag stamped on every CSR run record.
 pub const SCHEMA: &str = "hbbmc-bench-csr/v1";
@@ -264,39 +264,22 @@ pub fn run_csr_bench(options: &CsrBenchOptions) -> Vec<CsrRecord> {
 /// Appends every record to the trajectory file and re-validates it,
 /// including the CSR-specific fields (the check the CI smoke job relies on).
 pub fn append_records(path: &Path, variant: &str, records: &[CsrRecord]) -> Result<usize, String> {
-    append_runs(path, records.iter().map(|r| r.to_json(variant)).collect())?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("re-reading {}: {e}", path.display()))?;
-    let parsed = parse(&text)?;
-    let runs = parsed
-        .as_array()
-        .ok_or_else(|| format!("{} is not a JSON array", path.display()))?;
-    let mut csr_runs = 0usize;
-    for run in runs {
-        for key in ["schema", "variant", "graph", "preset", "seconds", "cliques"] {
-            if run.get(key).is_none() {
-                return Err(format!("run record missing key '{key}'"));
-            }
-        }
-        if run.get("schema").and_then(JsonValue::as_str) == Some(SCHEMA) {
-            csr_runs += 1;
-            for key in [
-                "csr_bytes",
-                "dense_bytes",
-                "dense_over_csr",
-                "mcg_file_bytes",
-                "text_load_seconds",
-                "mcg_load_seconds",
-                "initial_branches",
-                "recursive_calls",
-            ] {
-                if run.get(key).is_none() {
-                    return Err(format!("csr record missing key '{key}'"));
-                }
-            }
-        }
-    }
-    Ok(csr_runs)
+    let runs = records.iter().map(|r| r.to_json(variant)).collect();
+    append_validated(
+        path,
+        runs,
+        SCHEMA,
+        &[
+            "csr_bytes",
+            "dense_bytes",
+            "dense_over_csr",
+            "mcg_file_bytes",
+            "text_load_seconds",
+            "mcg_load_seconds",
+            "initial_branches",
+            "recursive_calls",
+        ],
+    )
 }
 
 #[cfg(test)]

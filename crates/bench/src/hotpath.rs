@@ -11,18 +11,18 @@
 //! The graph matrix deliberately includes **dense-branch microbenchmarks**
 //! (Moon–Moser and a dense G(n, m) instance, where the per-branch `C ∩ N(v)`
 //! refinement dominates) alongside clique-community and sparse instances, so
-//! both the word-parallel kernels and the scheduler are exercised.
+//! both the word-parallel kernels and the parallel driver are exercised.
 
 use std::path::Path;
 use std::time::Instant;
 
-use hbbmc::{par_count_maximal_cliques, SolverConfig};
+use hbbmc::{par_count_with_worker_stats, SolverConfig};
 use mce_gen::{barabasi_albert, erdos_renyi, moon_moser, planted_communities, PlantedConfig};
 use mce_graph::Graph;
 
 use crate::algorithms::ablation_algorithms;
 use crate::datasets::all_datasets;
-use crate::json::{append_runs, JsonValue};
+use crate::json::{append_validated, JsonValue};
 use crate::runner::measure;
 
 /// Schema tag stamped on every run record.
@@ -176,7 +176,7 @@ pub fn measure_cell(
     for _ in 0..repeats.max(1) {
         let start = Instant::now();
         let count = if threads > 1 {
-            par_count_maximal_cliques(g, config, threads).0
+            par_count_with_worker_stats(g, config, threads).0
         } else {
             measure(g, config).cliques
         };
@@ -236,23 +236,8 @@ pub fn append_records(
     variant: &str,
     records: &[HotpathRecord],
 ) -> Result<usize, String> {
-    append_runs(path, records.iter().map(|r| r.to_json(variant)).collect())?;
-    // Re-read and parse so a broken emitter fails loudly (this is the check
-    // the CI smoke job relies on).
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("re-reading {}: {e}", path.display()))?;
-    let parsed = crate::json::parse(&text)?;
-    let runs = parsed
-        .as_array()
-        .ok_or_else(|| format!("{} is not a JSON array", path.display()))?;
-    for run in runs {
-        for key in ["schema", "variant", "graph", "preset", "seconds", "cliques"] {
-            if run.get(key).is_none() {
-                return Err(format!("run record missing key '{key}'"));
-            }
-        }
-    }
-    Ok(runs.len())
+    let runs = records.iter().map(|r| r.to_json(variant)).collect();
+    append_validated(path, runs, SCHEMA, &[])
 }
 
 #[cfg(test)]
@@ -311,6 +296,42 @@ mod tests {
         };
         let total = append_records(&path, "test", &[record.clone(), record]).unwrap();
         assert_eq!(total, 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn append_records_accepts_records_of_other_schemas() {
+        // The trajectory is shared: maxclique records carry no `preset` or
+        // `cliques`, and must not fail the hot-path emitter's validation.
+        let dir = std::env::temp_dir().join("mce_bench_hotpath_mixed_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_solver.json");
+        let _ = std::fs::remove_file(&path);
+        let maxclique = crate::json::parse(
+            r#"{"schema":"hbbmc-bench-maxclique/v1","variant":"old","graph":"g","seconds":0.1}"#,
+        )
+        .unwrap();
+        crate::json::append_runs(&path, vec![maxclique]).unwrap();
+        let record = HotpathRecord {
+            graph: "toy".into(),
+            n: 4,
+            m: 6,
+            preset: "HBBMC++".into(),
+            threads: 1,
+            seconds: 0.001,
+            cliques: 1,
+        };
+        assert_eq!(
+            append_records(&path, "test", std::slice::from_ref(&record)).unwrap(),
+            1
+        );
+        // A hot-path record that lost a common key still fails loudly.
+        let mut broken = record.to_json("test");
+        if let JsonValue::Obj(pairs) = &mut broken {
+            pairs.retain(|(key, _)| key != "preset");
+        }
+        crate::json::append_runs(&path, vec![broken]).unwrap();
+        assert!(append_records(&path, "test", &[record]).is_err());
         let _ = std::fs::remove_file(&path);
     }
 }

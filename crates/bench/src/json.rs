@@ -394,6 +394,45 @@ pub fn append_runs(path: &Path, new_runs: Vec<JsonValue>) -> Result<(), String> 
     std::fs::write(path, rendered).map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
+/// Keys every record of the shared trajectory carries, whatever its schema
+/// (the maxclique records aside, which check their own set).
+pub const COMMON_KEYS: [&str; 6] = ["schema", "variant", "graph", "preset", "seconds", "cliques"];
+
+/// Appends `new_runs` to the trajectory at `path`, re-reads it and checks
+/// every record of `schema` for [`COMMON_KEYS`] plus `keys` (the check the CI
+/// smoke job relies on). The file is shared by every benchmark, so records of
+/// other schemas, which carry other keys, are left to their own emitters.
+/// Returns the number of `schema` records in the file.
+pub fn append_validated(
+    path: &Path,
+    new_runs: Vec<JsonValue>,
+    schema: &str,
+    keys: &[&str],
+) -> Result<usize, String> {
+    append_runs(path, new_runs)?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("re-reading {}: {e}", path.display()))?;
+    let parsed = parse(&text)?;
+    let runs = parsed
+        .as_array()
+        .ok_or_else(|| format!("{} is not a JSON array", path.display()))?;
+    let mut count = 0;
+    for run in runs {
+        if run.get("schema").and_then(JsonValue::as_str) != Some(schema) {
+            continue;
+        }
+        count += 1;
+        if let Some(key) = COMMON_KEYS
+            .iter()
+            .chain(keys)
+            .find(|key| run.get(key).is_none())
+        {
+            return Err(format!("{schema} record missing key '{key}'"));
+        }
+    }
+    Ok(count)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

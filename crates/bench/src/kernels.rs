@@ -37,7 +37,7 @@ use mce_gen::{erdos_renyi, moon_moser};
 use mce_graph::kernels::{self, KernelBackend};
 use mce_graph::Graph;
 
-use crate::json::{append_runs, parse, JsonValue};
+use crate::json::{append_validated, parse, JsonValue};
 
 /// Schema tag stamped on every kernel benchmark record.
 pub const SCHEMA: &str = "hbbmc-bench-kernels/v1";
@@ -491,38 +491,20 @@ pub fn append_records(
     variant: &str,
     records: &[KernelRecord],
 ) -> Result<usize, String> {
-    append_runs(path, records.iter().map(|r| r.to_json(variant)).collect())?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("re-reading {}: {e}", path.display()))?;
-    let parsed = parse(&text)?;
-    let runs = parsed
-        .as_array()
-        .ok_or_else(|| format!("{} is not a JSON array", path.display()))?;
-    let mut kernel_runs = 0usize;
-    for run in runs {
-        if run.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
-            continue;
-        }
-        kernel_runs += 1;
-        for key in [
-            "variant",
+    let runs = records.iter().map(|r| r.to_json(variant)).collect();
+    append_validated(
+        path,
+        runs,
+        SCHEMA,
+        &[
             "kind",
             "backend",
             "op",
-            "graph",
-            "preset",
-            "seconds",
-            "cliques",
             "words_per_sec",
             "branch_evals",
             "riding_branch_evals",
-        ] {
-            if run.get(key).is_none() {
-                return Err(format!("kernel record missing key '{key}'"));
-            }
-        }
-    }
-    Ok(kernel_runs)
+        ],
+    )
 }
 
 #[cfg(test)]

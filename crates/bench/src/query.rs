@@ -23,7 +23,7 @@ use hbbmc::{run_query, CountReporter, Query, QuerySpec, QueryValue, SolverConfig
 use mce_gen::{barabasi_albert, planted_communities, PlantedConfig};
 use mce_graph::{Graph, VertexId};
 
-use crate::json::{append_runs, parse, JsonValue};
+use crate::json::{append_validated, JsonValue};
 
 /// Schema tag stamped on every query-benchmark record.
 pub const SCHEMA: &str = "hbbmc-bench-query/v1";
@@ -285,38 +285,21 @@ pub fn append_records(
     variant: &str,
     records: &[QueryRecord],
 ) -> Result<usize, String> {
-    append_runs(path, records.iter().map(|r| r.to_json(variant)).collect())?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("re-reading {}: {e}", path.display()))?;
-    let parsed = parse(&text)?;
-    let runs = parsed
-        .as_array()
-        .ok_or_else(|| format!("{} is not a JSON array", path.display()))?;
-    let mut query_runs = 0usize;
-    for run in runs {
-        for key in ["schema", "variant", "graph", "preset", "seconds", "cliques"] {
-            if run.get(key).is_none() {
-                return Err(format!("run record missing key '{key}'"));
-            }
-        }
-        if run.get("schema").and_then(JsonValue::as_str) == Some(SCHEMA) {
-            query_runs += 1;
-            for key in [
-                "anchor",
-                "anchor_size",
-                "recursive_calls",
-                "anchored_roots_skipped",
-                "full_recursive_calls",
-                "calls_saved",
-                "calls_saved_ratio",
-            ] {
-                if run.get(key).is_none() {
-                    return Err(format!("query record missing key '{key}'"));
-                }
-            }
-        }
-    }
-    Ok(query_runs)
+    let runs = records.iter().map(|r| r.to_json(variant)).collect();
+    append_validated(
+        path,
+        runs,
+        SCHEMA,
+        &[
+            "anchor",
+            "anchor_size",
+            "recursive_calls",
+            "anchored_roots_skipped",
+            "full_recursive_calls",
+            "calls_saved",
+            "calls_saved_ratio",
+        ],
+    )
 }
 
 #[cfg(test)]

@@ -1,35 +1,35 @@
-//! The skewed-graph scheduler benchmark behind `cargo bench --bench
+//! The skewed-graph load-balance benchmark behind `cargo bench --bench
 //! bench_scheduler` and `experiments scheduler`.
 //!
-//! Root-pulling schedulers are bounded below by the largest root subtree, so
-//! this matrix measures exactly the workloads where that bound bites:
+//! Workers that only claimed whole root branches would be bounded below by
+//! the largest root subtree, so this matrix measures exactly the workloads
+//! where that bound bites, and where the parallel driver's sub-branch
+//! donation has to spread the work:
 //!
 //! * **planted-hub** instances (`mce_gen::planted_hub`) put the *entire*
 //!   recursion tree under one root under natural-order vertex branching —
-//!   the pulling schedulers degenerate to sequential execution while the
-//!   splitting scheduler spreads the hub subtree over all workers;
+//!   without donation one worker would run the whole enumeration;
 //! * **Barabási–Albert** instances carry the realistic moderate skew of
 //!   preferential-attachment hubs.
 //!
-//! Each cell runs both [`RootScheduler::Dynamic`] and
-//! [`RootScheduler::Splitting`] at several thread counts and records
-//! wall-clock seconds, the split/steal/busy-time counters and
-//! `max_worker_share` — the largest share of the run's recursive calls
-//! executed by one worker, whose reciprocal bounds the achievable parallel
-//! speedup machine-independently (wall clock alone is meaningless on a
-//! host with fewer cores than threads; see EXPERIMENTS.md). One flat JSON
-//! object per cell is appended to the `BENCH_solver.json` trajectory
-//! (schema [`SCHEMA`], side by side with the hot-path records); splitting
-//! cells also record their wall-clock speedup over the matching dynamic
-//! cell.
+//! Each cell runs the driver at one thread count and records wall-clock
+//! seconds, the split/steal/busy-time counters and `max_worker_share` — the
+//! largest share of the run's recursive calls executed by one worker, whose
+//! reciprocal bounds the achievable parallel speedup machine-independently
+//! (wall clock alone is meaningless on a host with fewer cores than threads;
+//! see EXPERIMENTS.md). One flat JSON object per cell is appended to the
+//! `BENCH_solver.json` trajectory (schema [`SCHEMA`], side by side with the
+//! hot-path records). The schema keeps its `scheduler` key, now always
+//! `"pool"`, so the cells recorded while several schedulers existed still
+//! validate.
 
 use std::path::Path;
 
-use hbbmc::{par_count_with_worker_stats, RootScheduler, SolverConfig};
+use hbbmc::{par_count_with_worker_stats, SolverConfig};
 use mce_gen::{barabasi_albert, planted_hub};
 use mce_graph::Graph;
 
-use crate::json::{append_runs, parse, JsonValue};
+use crate::json::{append_validated, JsonValue};
 
 /// Schema tag stamped on every scheduler-benchmark record.
 pub const SCHEMA: &str = "hbbmc-bench-scheduler/v1";
@@ -55,7 +55,7 @@ impl Default for SchedulerBenchOptions {
     }
 }
 
-/// One measured cell of the scheduler matrix.
+/// One measured cell of the load-balance matrix.
 #[derive(Clone, Debug)]
 pub struct SchedulerRecord {
     /// Graph name.
@@ -66,15 +66,13 @@ pub struct SchedulerRecord {
     pub m: usize,
     /// Preset name (paper algorithm name).
     pub preset: String,
-    /// Scheduler policy name (`dynamic` / `splitting`).
-    pub scheduler: String,
     /// Worker threads used.
     pub threads: usize,
     /// Best wall-clock seconds over the repetitions.
     pub seconds: f64,
     /// Number of maximal cliques found.
     pub cliques: u64,
-    /// Sub-branch tasks donated (splitting scheduler only).
+    /// Sub-branch tasks donated to the pool.
     pub splits: u64,
     /// Donated tasks stolen and executed (equals `splits` after a run).
     pub steals: u64,
@@ -83,26 +81,23 @@ pub struct SchedulerRecord {
     pub busy_fraction: f64,
     /// Largest share of the run's recursive calls executed by any single
     /// worker. This is the machine-independent load-balance gauge: `1 /
-    /// max_worker_share` bounds the achievable parallel speedup, so a skewed
-    /// graph under a pulling scheduler reports ≈ 1.0 (one worker owns the
-    /// giant root) while the splitting scheduler approaches `1 / threads`.
+    /// max_worker_share` bounds the achievable parallel speedup, so a run
+    /// whose giant root stayed with one worker reports ≈ 1.0, while
+    /// donation drives it towards `1 / threads`.
     pub max_worker_share: f64,
-    /// Wall-clock speedup over the matching dynamic cell (same graph,
-    /// preset and thread count); `None` for the dynamic cells themselves.
-    pub speedup_vs_dynamic: Option<f64>,
 }
 
 impl SchedulerRecord {
     /// The flat JSON object appended to the trajectory file.
     pub fn to_json(&self, variant: &str) -> JsonValue {
-        let mut pairs = vec![
+        JsonValue::obj(vec![
             ("schema", JsonValue::Str(SCHEMA.into())),
             ("variant", JsonValue::Str(variant.into())),
             ("graph", JsonValue::Str(self.graph.clone())),
             ("n", JsonValue::Num(self.n as f64)),
             ("m", JsonValue::Num(self.m as f64)),
             ("preset", JsonValue::Str(self.preset.clone())),
-            ("scheduler", JsonValue::Str(self.scheduler.clone())),
+            ("scheduler", JsonValue::Str("pool".into())),
             ("threads", JsonValue::Num(self.threads as f64)),
             ("seconds", JsonValue::Num(self.seconds)),
             ("cliques", JsonValue::Num(self.cliques as f64)),
@@ -110,11 +105,7 @@ impl SchedulerRecord {
             ("steals", JsonValue::Num(self.steals as f64)),
             ("busy_fraction", JsonValue::Num(self.busy_fraction)),
             ("max_worker_share", JsonValue::Num(self.max_worker_share)),
-        ];
-        if let Some(speedup) = self.speedup_vs_dynamic {
-            pairs.push(("speedup_vs_dynamic", JsonValue::Num(speedup)));
-        }
-        JsonValue::obj(pairs)
+        ])
     }
 }
 
@@ -166,7 +157,7 @@ pub fn scheduler_threads(quick: bool) -> Vec<usize> {
     if quick {
         vec![1, 4]
     } else {
-        vec![1, 4, 8]
+        vec![1, 2, 4, 8]
     }
 }
 
@@ -175,12 +166,9 @@ fn measure_cell(
     g: &Graph,
     preset: &str,
     config: &SolverConfig,
-    scheduler: RootScheduler,
     threads: usize,
     repeats: usize,
 ) -> SchedulerRecord {
-    let mut config = *config;
-    config.scheduler = scheduler;
     let mut best = f64::INFINITY;
     let mut cliques = 0u64;
     let mut splits = 0u64;
@@ -188,7 +176,7 @@ fn measure_cell(
     let mut busy_fraction = 0.0;
     let mut max_worker_share = 0.0;
     for _ in 0..repeats.max(1) {
-        let (count, stats, per_worker) = par_count_with_worker_stats(g, &config, threads);
+        let (count, stats, per_worker) = par_count_with_worker_stats(g, config, threads);
         cliques = count;
         let secs = stats.elapsed.as_secs_f64();
         if secs < best {
@@ -218,11 +206,6 @@ fn measure_cell(
         n: g.n(),
         m: g.m(),
         preset: preset.to_string(),
-        scheduler: match scheduler {
-            RootScheduler::Dynamic => "dynamic".into(),
-            RootScheduler::Static => "static".into(),
-            RootScheduler::Splitting => "splitting".into(),
-        },
         threads,
         seconds: best,
         cliques,
@@ -230,109 +213,55 @@ fn measure_cell(
         steals,
         busy_fraction,
         max_worker_share,
-        speedup_vs_dynamic: None,
     }
 }
 
-/// Runs the full scheduler matrix, printing one line per cell and the
-/// dynamic→splitting speedup per `(graph, threads)` pair.
+/// Runs the full load-balance matrix, printing one line per cell.
 pub fn run_scheduler_bench(options: &SchedulerBenchOptions) -> Vec<SchedulerRecord> {
     let mut records = Vec::new();
     for (name, g, preset, config) in scheduler_graphs(options.quick) {
         for &threads in &scheduler_threads(options.quick) {
-            let dynamic = measure_cell(
-                name,
-                &g,
-                preset,
-                &config,
-                RootScheduler::Dynamic,
-                threads,
-                options.repeats,
+            let r = measure_cell(name, &g, preset, &config, threads, options.repeats);
+            println!(
+                "{:<14} {:<8} threads={} {:>9.4}s {:>10} cliques  splits={:<5} \
+                 busy={:.2} max_share={:.2}",
+                r.graph,
+                r.preset,
+                r.threads,
+                r.seconds,
+                r.cliques,
+                r.splits,
+                r.busy_fraction,
+                r.max_worker_share,
             );
-            let mut splitting = measure_cell(
-                name,
-                &g,
-                preset,
-                &config,
-                RootScheduler::Splitting,
-                threads,
-                options.repeats,
-            );
-            assert_eq!(
-                dynamic.cliques, splitting.cliques,
-                "{name}: schedulers disagree on the clique count"
-            );
-            let speedup = if splitting.seconds > 0.0 {
-                dynamic.seconds / splitting.seconds
-            } else {
-                1.0
-            };
-            splitting.speedup_vs_dynamic = Some(speedup);
-            for r in [&dynamic, &splitting] {
-                println!(
-                    "{:<14} {:<8} {:<9} threads={} {:>9.4}s {:>10} cliques  splits={:<5} \
-                     busy={:.2} max_share={:.2}{}",
-                    r.graph,
-                    r.preset,
-                    r.scheduler,
-                    r.threads,
-                    r.seconds,
-                    r.cliques,
-                    r.splits,
-                    r.busy_fraction,
-                    r.max_worker_share,
-                    match r.speedup_vs_dynamic {
-                        Some(s) => format!("  speedup={s:.2}x"),
-                        None => String::new(),
-                    }
-                );
-            }
-            records.push(dynamic);
-            records.push(splitting);
+            records.push(r);
         }
     }
     records
 }
 
 /// Appends every record to the trajectory file and re-validates it,
-/// including the scheduler-specific fields (the check the CI smoke job
-/// relies on).
+/// including the load-balance fields (the check the CI smoke job relies
+/// on). Returns the number of scheduler records in the file.
 pub fn append_records(
     path: &Path,
     variant: &str,
     records: &[SchedulerRecord],
 ) -> Result<usize, String> {
-    append_runs(path, records.iter().map(|r| r.to_json(variant)).collect())?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("re-reading {}: {e}", path.display()))?;
-    let parsed = parse(&text)?;
-    let runs = parsed
-        .as_array()
-        .ok_or_else(|| format!("{} is not a JSON array", path.display()))?;
-    let mut scheduler_runs = 0usize;
-    for run in runs {
-        for key in ["schema", "variant", "graph", "preset", "seconds", "cliques"] {
-            if run.get(key).is_none() {
-                return Err(format!("run record missing key '{key}'"));
-            }
-        }
-        if run.get("schema").and_then(JsonValue::as_str) == Some(SCHEMA) {
-            scheduler_runs += 1;
-            for key in [
-                "scheduler",
-                "threads",
-                "splits",
-                "steals",
-                "busy_fraction",
-                "max_worker_share",
-            ] {
-                if run.get(key).is_none() {
-                    return Err(format!("scheduler record missing key '{key}'"));
-                }
-            }
-        }
-    }
-    Ok(scheduler_runs)
+    let runs = records.iter().map(|r| r.to_json(variant)).collect();
+    append_validated(
+        path,
+        runs,
+        SCHEMA,
+        &[
+            "scheduler",
+            "threads",
+            "splits",
+            "steals",
+            "busy_fraction",
+            "max_worker_share",
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -349,54 +278,37 @@ mod tests {
         let records = run_scheduler_bench(&options);
         assert_eq!(
             records.len(),
-            scheduler_graphs(true).len() * scheduler_threads(true).len() * 2
+            scheduler_graphs(true).len() * scheduler_threads(true).len()
         );
         for r in &records {
             assert!(r.cliques > 0, "{} found no cliques", r.graph);
             assert_eq!(r.splits, r.steals, "{}: unexecuted donations", r.graph);
             let json = r.to_json("test");
             assert_eq!(json.get("schema").and_then(JsonValue::as_str), Some(SCHEMA));
+            assert_eq!(
+                json.get("scheduler").and_then(JsonValue::as_str),
+                Some("pool")
+            );
             assert!(json.get("splits").is_some());
         }
-        // Splitting cells carry the speedup field, dynamic cells do not.
-        assert!(records
-            .iter()
-            .all(|r| (r.scheduler == "splitting") == r.speedup_vs_dynamic.is_some()));
     }
 
     #[test]
     fn hub_instances_actually_split_at_four_threads() {
         // The planted hub puts everything under one root: with starving
-        // workers the splitting scheduler *must* donate and spread the calls,
-        // otherwise the benchmark measures nothing. A larger instance than
-        // the smoke matrix is used so the run comfortably outlives the
-        // donation threshold even on slow machines.
+        // workers the driver *must* donate and spread the calls, otherwise
+        // the benchmark measures nothing. A larger instance than the smoke
+        // matrix is used so the run comfortably outlives the donation
+        // threshold even on slow machines.
         let g = planted_hub(33, 4);
         let config = SolverConfig::bk_pivot();
-        let dynamic = measure_cell(
-            "hub_n33",
-            &g,
-            "BK_Pivot",
-            &config,
-            RootScheduler::Dynamic,
-            4,
-            1,
-        );
-        let splitting = measure_cell(
-            "hub_n33",
-            &g,
-            "BK_Pivot",
-            &config,
-            RootScheduler::Splitting,
-            4,
-            1,
-        );
-        assert_eq!(dynamic.cliques, splitting.cliques);
-        assert!(splitting.splits > 0, "no donations: {splitting:?}");
-        // Dynamic: one worker owns the hub root (≈ every call); splitting
-        // spreads it.
-        assert!(dynamic.max_worker_share > 0.95, "{dynamic:?}");
-        assert!(splitting.max_worker_share < 0.75, "{splitting:?}");
+        let serial = measure_cell("hub_n33", &g, "BK_Pivot", &config, 1, 1);
+        let pool = measure_cell("hub_n33", &g, "BK_Pivot", &config, 4, 1);
+        assert_eq!(serial.cliques, pool.cliques);
+        assert!(pool.splits > 0, "no donations: {pool:?}");
+        assert_eq!(pool.splits, pool.steals);
+        // One worker would own the hub root (every call); donation spreads it.
+        assert!(pool.max_worker_share < 0.75, "{pool:?}");
     }
 
     #[test]
@@ -410,7 +322,6 @@ mod tests {
             n: 5,
             m: 7,
             preset: "BK_Pivot".into(),
-            scheduler: "splitting".into(),
             threads: 4,
             seconds: 0.01,
             cliques: 3,
@@ -418,7 +329,6 @@ mod tests {
             steals: 2,
             busy_fraction: 0.9,
             max_worker_share: 0.3,
-            speedup_vs_dynamic: Some(1.7),
         };
         let total = append_records(&path, "test", &[record]).unwrap();
         assert_eq!(total, 1);

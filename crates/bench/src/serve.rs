@@ -24,7 +24,7 @@ use mce_cli::serve::ServeConfig;
 use mce_gen::{planted_communities, PlantedConfig};
 use mce_graph::Graph;
 
-use crate::json::{append_runs, parse, JsonValue};
+use crate::json::{append_validated, parse, JsonValue};
 
 /// Schema tag stamped on every serve-benchmark record.
 pub const SCHEMA: &str = "hbbmc-bench-serve/v1";
@@ -520,63 +520,6 @@ pub fn run_chaos_bench(options: &ServeBenchOptions) -> Vec<ChaosRecord> {
     records
 }
 
-/// Re-validates the whole trajectory file, returning how many records carry
-/// each serve schema (`(serve, chaos)`) — the check the CI smoke job relies
-/// on.
-fn validate_trajectory(path: &Path) -> Result<(usize, usize), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("re-reading {}: {e}", path.display()))?;
-    let parsed = parse(&text)?;
-    let runs = parsed
-        .as_array()
-        .ok_or_else(|| format!("{} is not a JSON array", path.display()))?;
-    let mut serve_runs = 0usize;
-    let mut chaos_runs = 0usize;
-    for run in runs {
-        for key in ["schema", "variant", "graph", "preset", "seconds", "cliques"] {
-            if run.get(key).is_none() {
-                return Err(format!("run record missing key '{key}'"));
-            }
-        }
-        let schema = run.get("schema").and_then(JsonValue::as_str);
-        if schema == Some(SCHEMA) {
-            serve_runs += 1;
-            for key in [
-                "clients",
-                "queries",
-                "max_sessions",
-                "queries_per_sec",
-                "sessions_started",
-                "sessions_completed",
-                "sessions_truncated",
-                "sessions_rejected",
-                "peak_sessions",
-            ] {
-                if run.get(key).is_none() {
-                    return Err(format!("serve record missing key '{key}'"));
-                }
-            }
-        } else if schema == Some(CHAOS_SCHEMA) {
-            chaos_runs += 1;
-            for key in [
-                "clients",
-                "queries",
-                "max_sessions",
-                "queries_per_sec",
-                "sessions_started",
-                "sessions_degraded",
-                "connections_reaped",
-                "panics_contained",
-            ] {
-                if run.get(key).is_none() {
-                    return Err(format!("chaos record missing key '{key}'"));
-                }
-            }
-        }
-    }
-    Ok((serve_runs, chaos_runs))
-}
-
 /// Appends every record to the trajectory file and re-validates it,
 /// including the serve-specific counter fields. Returns the total number of
 /// serve records in the file.
@@ -585,8 +528,23 @@ pub fn append_records(
     variant: &str,
     records: &[ServeRecord],
 ) -> Result<usize, String> {
-    append_runs(path, records.iter().map(|r| r.to_json(variant)).collect())?;
-    validate_trajectory(path).map(|(serve_runs, _)| serve_runs)
+    let runs = records.iter().map(|r| r.to_json(variant)).collect();
+    append_validated(
+        path,
+        runs,
+        SCHEMA,
+        &[
+            "clients",
+            "queries",
+            "max_sessions",
+            "queries_per_sec",
+            "sessions_started",
+            "sessions_completed",
+            "sessions_truncated",
+            "sessions_rejected",
+            "peak_sessions",
+        ],
+    )
 }
 
 /// Appends every chaos record to the trajectory file and re-validates it.
@@ -596,8 +554,22 @@ pub fn append_chaos_records(
     variant: &str,
     records: &[ChaosRecord],
 ) -> Result<usize, String> {
-    append_runs(path, records.iter().map(|r| r.to_json(variant)).collect())?;
-    validate_trajectory(path).map(|(_, chaos_runs)| chaos_runs)
+    let runs = records.iter().map(|r| r.to_json(variant)).collect();
+    append_validated(
+        path,
+        runs,
+        CHAOS_SCHEMA,
+        &[
+            "clients",
+            "queries",
+            "max_sessions",
+            "queries_per_sec",
+            "sessions_started",
+            "sessions_degraded",
+            "connections_reaped",
+            "panics_contained",
+        ],
+    )
 }
 
 #[cfg(test)]

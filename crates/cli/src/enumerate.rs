@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 
 use hbbmc::{
     par_enumerate_ordered_budgeted, Budget, CliqueLineFormat, CountReporter, EnumerationStats,
-    MaximumCliqueReporter, MinSizeFilter, Outcome, ProgressCounters, RootScheduler,
-    SizeHistogramReporter, SolverConfig, WriterReporter,
+    MaximumCliqueReporter, MinSizeFilter, Outcome, ProgressCounters, SizeHistogramReporter,
+    SolverConfig, WriterReporter,
 };
 use mce_graph::Graph;
 
@@ -20,20 +20,15 @@ use crate::io::{load_graph, open_sink, FormatArg};
 pub const HELP: &str = "usage: mce enumerate [GRAPH] [options]
 
 Enumerates every maximal clique of GRAPH (a file path, or stdin for '-' /
-no argument). Output is streamed — under the dynamic/static schedulers
-buffering is bounded by a fixed out-of-order cap, never the full result
-set; the splitting scheduler keeps buffering near the stream head instead
-of enforcing the hard cap — and is byte-identical for a given graph
-regardless of --threads and --scheduler (enforced in CI by the
-golden-corpus determinism gate).
+no argument). Output is streamed — buffering is bounded by a fixed
+out-of-order cap plus one in-flight root per thread, never the full result
+set — and is byte-identical for a given graph regardless of --threads
+(enforced in CI by the golden-corpus determinism gate).
 
 options:
   --format edge-list|dimacs|mcg|auto  input format (default: auto)
   --preset NAME                    solver preset, e.g. HBBMC++ (default), RDegen
   --threads N                      worker threads, 1..=1024 (default: 1)
-  --scheduler dynamic|static|splitting   root-branch scheduling policy
-                                   (default: dynamic; splitting donates
-                                   sub-branches mid-recursion on skewed inputs)
   --min-size K                     only report cliques with >= K vertices
   --limit N                        stop after the first N cliques of the
                                    deterministic stream (exit 0; a truncated
@@ -62,7 +57,6 @@ const VALUE_OPTS: &[&str] = &[
     "--format",
     "--preset",
     "--threads",
-    "--scheduler",
     "--min-size",
     "--limit",
     "--max-steps",
@@ -92,17 +86,6 @@ fn parse_output_mode(raw: Option<&str>) -> Result<OutputMode, CliError> {
         Some("max") => Ok(OutputMode::Max),
         Some(other) => Err(CliError::usage(format!(
             "unknown output mode '{other}' (expected count, text, ndjson, histogram or max)"
-        ))),
-    }
-}
-
-fn parse_scheduler(raw: Option<&str>) -> Result<RootScheduler, CliError> {
-    match raw {
-        None | Some("dynamic") => Ok(RootScheduler::Dynamic),
-        Some("static") => Ok(RootScheduler::Static),
-        Some("splitting") => Ok(RootScheduler::Splitting),
-        Some(other) => Err(CliError::usage(format!(
-            "unknown scheduler '{other}' (expected dynamic, static or splitting)"
         ))),
     }
 }
@@ -223,8 +206,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     p.reject_extra_positionals(1)?;
     crate::kernel::init(p.value("--kernel"))?;
     let mode = parse_output_mode(p.value("--output"))?;
-    let mut config = SolverConfig::preset_by_name(p.value("--preset").unwrap_or("HBBMC++"))?;
-    config.scheduler = parse_scheduler(p.value("--scheduler"))?;
+    let config = SolverConfig::preset_by_name(p.value("--preset").unwrap_or("HBBMC++"))?;
     let threads = p.usize_value("--threads", 1, 1, 1024)?;
     let min_size = p.usize_value("--min-size", 1, 1, usize::MAX)?;
     let budget = parse_budget(&p)?;
@@ -401,20 +383,13 @@ mod tests {
     fn output_is_identical_across_thread_counts_and_schedulers() {
         let g = diamond();
         let baseline = emit_to_string(&g, 1, 1, OutputMode::Text);
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
-            let mut config = SolverConfig::hbbmc_pp();
-            config.scheduler = scheduler;
-            for threads in [2, 4] {
-                assert_eq!(
-                    emit_with_config(&g, &config, threads, 1, OutputMode::Text),
-                    baseline,
-                    "{scheduler:?} x{threads}"
-                );
-            }
+        let config = SolverConfig::hbbmc_pp();
+        for threads in [2, 4] {
+            assert_eq!(
+                emit_with_config(&g, &config, threads, 1, OutputMode::Text),
+                baseline,
+                "x{threads}"
+            );
         }
     }
 
@@ -423,8 +398,7 @@ mod tests {
         let g = diamond();
         let baseline = emit_to_string(&g, 2, 1, OutputMode::Count);
         let mut sink: Vec<u8> = Vec::new();
-        let mut config = SolverConfig::hbbmc_pp();
-        config.scheduler = RootScheduler::Splitting;
+        let config = SolverConfig::hbbmc_pp();
         let mut boxed: Box<dyn Write + Send> = Box::new(&mut sink);
         emit_with_progress(
             &g,
@@ -466,12 +440,12 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_mode_and_scheduler() {
         assert!(parse_output_mode(Some("xml")).is_err());
-        assert!(parse_scheduler(Some("magic")).is_err());
         assert_eq!(parse_output_mode(None).unwrap(), OutputMode::Count);
-        assert_eq!(parse_scheduler(None).unwrap(), RootScheduler::Dynamic);
-        assert_eq!(
-            parse_scheduler(Some("splitting")).unwrap(),
-            RootScheduler::Splitting
-        );
+        // The scheduler option is gone: naming it is a usage error, not a
+        // silently ignored flag.
+        let args = ["--scheduler".to_string(), "dynamic".to_string()];
+        let err = run(&args).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("--scheduler"), "{err}");
     }
 }

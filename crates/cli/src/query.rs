@@ -10,7 +10,7 @@ use std::io::Write;
 
 use hbbmc::{
     run_query, CliqueLineFormat, CountReporter, MinSizeFilter, Query, QueryResult, QuerySpec,
-    QueryValue, RootScheduler, SolverConfig, VertexId, WriterReporter,
+    QueryValue, SolverConfig, VertexId, WriterReporter,
 };
 use mce_graph::Graph;
 
@@ -24,9 +24,9 @@ pub const HELP: &str = "usage: mce query [GRAPH] [options]
 
 Runs one budgeted enumeration query over GRAPH (a file path, or stdin for
 '-' / no argument). Streaming output is deterministic: a budget-truncated
-run emits an exact prefix of the unbudgeted stream at any --threads and
---scheduler. Exit code 0 covers truncated runs; the outcome (complete /
-truncated) is reported by --stats.
+run emits an exact prefix of the unbudgeted stream at any --threads. Exit
+code 0 covers truncated runs; the outcome (complete / truncated) is
+reported by --stats.
 
 query modes (choose at most one; default: stream every maximal clique):
   --anchor V1,V2,...   only the maximal cliques containing every listed
@@ -55,7 +55,6 @@ options:
   --preset NAME                    solver preset, e.g. HBBMC++ (default)
   --threads N                      worker threads, 1..=1024 (default: 1;
                                    anchored/kclique queries run sequentially)
-  --scheduler dynamic|static|splitting   root-branch scheduling policy
   --min-size K                     only report cliques with >= K vertices
                                    (streaming modes; applied after --limit)
   --kernel scalar|avx2|neon        word-kernel backend (default: the widest
@@ -76,7 +75,6 @@ const VALUE_OPTS: &[&str] = &[
     "--format",
     "--preset",
     "--threads",
-    "--scheduler",
     "--min-size",
     "--kernel",
     "--output",
@@ -104,17 +102,6 @@ fn parse_anchor(raw: &str) -> Result<Vec<VertexId>, CliError> {
         ));
     }
     Ok(vertices)
-}
-
-pub(crate) fn parse_scheduler(raw: Option<&str>) -> Result<RootScheduler, CliError> {
-    match raw {
-        None | Some("dynamic") => Ok(RootScheduler::Dynamic),
-        Some("static") => Ok(RootScheduler::Static),
-        Some("splitting") => Ok(RootScheduler::Splitting),
-        Some(other) => Err(CliError::usage(format!(
-            "unknown scheduler '{other}' (expected dynamic, static or splitting)"
-        ))),
-    }
 }
 
 /// Streaming sink of the stream-valued query modes.
@@ -215,8 +202,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     p.reject_extra_positionals(1)?;
     crate::kernel::init(p.value("--kernel"))?;
     let spec = parse_spec(&p)?;
-    let mut config = SolverConfig::preset_by_name(p.value("--preset").unwrap_or("HBBMC++"))?;
-    config.scheduler = parse_scheduler(p.value("--scheduler"))?;
+    let config = SolverConfig::preset_by_name(p.value("--preset").unwrap_or("HBBMC++"))?;
     let threads = p.usize_value("--threads", 1, 1, 1024)?;
     let min_size = p.usize_value("--min-size", 1, 1, usize::MAX)?;
     let budget = parse_budget(&p)?;

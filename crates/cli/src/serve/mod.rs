@@ -6,7 +6,7 @@
 //! concurrent budgeted `query` sessions against them; every query maps onto
 //! the unified query engine ([`hbbmc::ExecSession`]), so a truncated
 //! response's clique bytes are an exact prefix of the complete response at
-//! any thread count and scheduler. See the README's wire-protocol
+//! any thread count. See the README's wire-protocol
 //! reference for the full request/response vocabulary.
 //!
 //! Module layout:
@@ -30,7 +30,6 @@ pub mod testkit;
 
 use crate::args::ParsedArgs;
 use crate::error::CliError;
-use crate::query::parse_scheduler;
 
 pub use server::{ServeConfig, Server, ServerHandle};
 
@@ -54,7 +53,6 @@ options:
   --default-max-steps N    step budget for queries without 'max_steps'
   --client-max-steps N     per-connection branch-step quota
   --client-max-cliques N   per-connection clique quota
-  --scheduler dynamic|static|splitting   default root scheduler
   --preset NAME            default solver preset (default: HBBMC++)
   --max-line-bytes N       request-line length cap (default: 1048576)
   --idle-timeout-secs N    close connections with no request for N seconds
@@ -83,7 +81,6 @@ const VALUE_OPTS: &[&str] = &[
     "--default-max-steps",
     "--client-max-steps",
     "--client-max-cliques",
-    "--scheduler",
     "--preset",
     "--max-line-bytes",
     "--idle-timeout-secs",
@@ -108,7 +105,6 @@ fn parse_config(p: &ParsedArgs) -> Result<ServeConfig, CliError> {
         default_max_steps: p.opt_u64("--default-max-steps")?,
         client_max_steps: p.opt_u64("--client-max-steps")?,
         client_max_cliques: p.opt_u64("--client-max-cliques")?,
-        scheduler: parse_scheduler(p.value("--scheduler"))?,
         preset: p.value("--preset").unwrap_or(&defaults.preset).to_string(),
         max_line_bytes: p.usize_value("--max-line-bytes", defaults.max_line_bytes, 64, 1 << 30)?,
         idle_timeout: secs_or_off(p.u64_value("--idle-timeout-secs", 300)?),
@@ -142,7 +138,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use hbbmc::RootScheduler;
     use std::time::Duration;
 
     fn parse(args: &[&str]) -> Result<ServeConfig, CliError> {
@@ -158,7 +153,6 @@ mod tests {
         assert_eq!(config.default_threads, 1);
         assert_eq!(config.max_threads, 8);
         assert_eq!(config.default_max_steps, None);
-        assert_eq!(config.scheduler, RootScheduler::Dynamic);
         assert_eq!(config.preset, "HBBMC++");
         assert_eq!(config.max_line_bytes, 1 << 20);
         assert_eq!(config.idle_timeout, Some(Duration::from_secs(300)));
@@ -207,8 +201,6 @@ mod tests {
             "1000",
             "--client-max-cliques",
             "50",
-            "--scheduler",
-            "splitting",
             "--max-line-bytes",
             "4096",
         ])
@@ -218,14 +210,13 @@ mod tests {
         assert_eq!(config.default_threads, 4);
         assert_eq!(config.default_max_steps, Some(1000));
         assert_eq!(config.client_max_cliques, Some(50));
-        assert_eq!(config.scheduler, RootScheduler::Splitting);
         assert_eq!(config.max_line_bytes, 4096);
     }
 
     #[test]
     fn bad_flags_are_usage_errors() {
         assert!(parse(&["--max-sessions", "0"]).is_err());
-        assert!(parse(&["--scheduler", "fifo"]).is_err());
+        assert!(parse(&["--scheduler", "dynamic"]).is_err());
         assert!(parse(&["--port", "1"]).is_err());
     }
 }

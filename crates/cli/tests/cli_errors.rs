@@ -43,6 +43,15 @@ fn unknown_option_is_usage() {
 }
 
 #[test]
+fn removed_scheduler_option_is_usage() {
+    // The parallel driver has one scheduler; the old option fails loudly
+    // instead of being ignored, for every command that used to take it.
+    assert_clean_failure(&["enumerate", "--scheduler", "dynamic"], 2);
+    assert_clean_failure(&["query", "--scheduler", "splitting"], 2);
+    assert_clean_failure(&["serve", "--scheduler", "static"], 2);
+}
+
+#[test]
 fn missing_file_is_runtime() {
     assert_clean_failure(&["enumerate", "/no/such/graph.txt"], 1);
     assert_clean_failure(&["stats", "/no/such/graph.txt"], 1);

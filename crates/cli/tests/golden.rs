@@ -1,9 +1,8 @@
 //! The golden-corpus determinism gate.
 //!
 //! Replays `mce enumerate` over every checked-in corpus graph at 1/2/4
-//! threads under all three root schedulers (including the subtree-splitting
-//! one, whose donated tasks must resequence exactly) and asserts the output
-//! is byte-identical to the committed golden file — "same cliques regardless
+//! threads (the parallel driver's donated tasks must resequence exactly)
+//! and asserts the output is byte-identical to the committed golden file — "same cliques regardless
 //! of parallelism" as an executable contract rather than a test-only
 //! property. Regenerate the goldens with `crates/cli/tests/corpus/regen.sh`
 //! after an intentional format change.
@@ -20,19 +19,12 @@ fn mce() -> Command {
 }
 
 /// Runs `mce enumerate` on a corpus graph and returns stdout bytes.
-fn enumerate(
-    graph: &str,
-    output: &str,
-    preset: Option<&str>,
-    threads: usize,
-    scheduler: &str,
-) -> Vec<u8> {
+fn enumerate(graph: &str, output: &str, preset: Option<&str>, threads: usize) -> Vec<u8> {
     let mut cmd = mce();
     cmd.arg("enumerate")
         .arg(corpus_dir().join(graph))
         .args(["--output", output])
-        .args(["--threads", &threads.to_string()])
-        .args(["--scheduler", scheduler]);
+        .args(["--threads", &threads.to_string()]);
     if let Some(p) = preset {
         cmd.args(["--preset", p]);
     }
@@ -51,14 +43,12 @@ fn replay(graph: &str, output: &str, preset: Option<&str>, golden: &str) {
         .unwrap_or_else(|e| panic!("reading {golden}: {e}"));
     assert!(!expected.is_empty(), "{golden} must not be empty");
     for threads in [1usize, 2, 4] {
-        for scheduler in ["dynamic", "static", "splitting"] {
-            let got = enumerate(graph, output, preset, threads, scheduler);
-            assert_eq!(
-                got, expected,
-                "{graph} --output {output} (preset {preset:?}) differs from {golden} \
-                 at {threads} threads, {scheduler} scheduler"
-            );
-        }
+        let got = enumerate(graph, output, preset, threads);
+        assert_eq!(
+            got, expected,
+            "{graph} --output {output} (preset {preset:?}) differs from {golden} \
+             at {threads} threads"
+        );
     }
 }
 
@@ -138,24 +128,17 @@ fn query_anchored_golden_matches_across_threads_and_schedulers() {
     let expected = std::fs::read(corpus_dir().join("planted-60.anchor27.golden")).unwrap();
     assert!(!expected.is_empty());
     for threads in [1usize, 2, 4] {
-        for scheduler in ["dynamic", "static", "splitting"] {
-            let got = run_mce(&[
-                "query",
-                graph,
-                "--anchor",
-                "27",
-                "--output",
-                "text",
-                "--threads",
-                &threads.to_string(),
-                "--scheduler",
-                scheduler,
-            ]);
-            assert_eq!(
-                got, expected,
-                "anchored query differs at {threads} threads, {scheduler}"
-            );
-        }
+        let got = run_mce(&[
+            "query",
+            graph,
+            "--anchor",
+            "27",
+            "--output",
+            "text",
+            "--threads",
+            &threads.to_string(),
+        ]);
+        assert_eq!(got, expected, "anchored query differs at {threads} threads");
     }
 }
 
@@ -166,22 +149,15 @@ fn query_top_k_golden_matches_across_threads_and_schedulers() {
     let expected = std::fs::read(corpus_dir().join("planted-60.top3.golden")).unwrap();
     assert_eq!(expected.iter().filter(|&&b| b == b'\n').count(), 3);
     for threads in [1usize, 2, 4] {
-        for scheduler in ["dynamic", "static", "splitting"] {
-            let got = run_mce(&[
-                "query",
-                graph,
-                "--top",
-                "3",
-                "--threads",
-                &threads.to_string(),
-                "--scheduler",
-                scheduler,
-            ]);
-            assert_eq!(
-                got, expected,
-                "top-3 query differs at {threads} threads, {scheduler}"
-            );
-        }
+        let got = run_mce(&[
+            "query",
+            graph,
+            "--top",
+            "3",
+            "--threads",
+            &threads.to_string(),
+        ]);
+        assert_eq!(got, expected, "top-3 query differs at {threads} threads");
     }
 }
 
@@ -189,8 +165,8 @@ fn query_top_k_golden_matches_across_threads_and_schedulers() {
 fn query_max_clique_goldens_match_across_threads_and_schedulers() {
     // The branch-and-bound search is sequential, but the winner is part of
     // the determinism contract: the canonical (lex-smallest sorted) maximum
-    // clique must come back byte-identical at every thread count and
-    // scheduler, on a dense text graph and on a binary .mcg one — and on
+    // clique must come back byte-identical at every thread count, on a
+    // dense text graph and on a binary .mcg one — and on
     // moon-moser-12 it must equal the enumeration-riding `--output max`
     // golden, which ranks ties by the same canonical rule.
     for (graph, golden) in [
@@ -203,21 +179,17 @@ fn query_max_clique_goldens_match_across_threads_and_schedulers() {
             .unwrap_or_else(|e| panic!("reading {golden}: {e}"));
         assert!(!expected.is_empty(), "{golden} must not be empty");
         for threads in [1usize, 2, 4] {
-            for scheduler in ["dynamic", "static", "splitting"] {
-                let got = run_mce(&[
-                    "query",
-                    path.to_str().unwrap(),
-                    "--max-clique",
-                    "--threads",
-                    &threads.to_string(),
-                    "--scheduler",
-                    scheduler,
-                ]);
-                assert_eq!(
-                    got, expected,
-                    "{graph} --max-clique differs from {golden} at {threads} threads, {scheduler}"
-                );
-            }
+            let got = run_mce(&[
+                "query",
+                path.to_str().unwrap(),
+                "--max-clique",
+                "--threads",
+                &threads.to_string(),
+            ]);
+            assert_eq!(
+                got, expected,
+                "{graph} --max-clique differs from {golden} at {threads} threads"
+            );
         }
     }
 }
@@ -240,8 +212,8 @@ fn query_count_matches_the_count_golden() {
 }
 
 /// The golden-corpus prefix gate: `--limit N` must emit exactly the first N
-/// lines of the committed full text golden, at 1/2/4 threads under every
-/// scheduler, for both `enumerate` and `query`.
+/// lines of the committed full text golden, at 1/2/4 threads, for both
+/// `enumerate` and `query`.
 #[test]
 fn limit_emits_the_exact_golden_prefix_across_threads_and_schedulers() {
     let graph = corpus_dir().join("planted-60.txt");
@@ -250,46 +222,33 @@ fn limit_emits_the_exact_golden_prefix_across_threads_and_schedulers() {
     let prefix: String = full.lines().take(10).map(|l| format!("{l}\n")).collect();
     assert_eq!(prefix.lines().count(), 10, "corpus graph has > 10 cliques");
     for threads in [1usize, 2, 4] {
-        for scheduler in ["dynamic", "static", "splitting"] {
-            let threads_s = threads.to_string();
-            let enumerate_args = [
-                "enumerate",
-                graph,
-                "--output",
-                "text",
-                "--limit",
-                "10",
-                "--threads",
-                &threads_s,
-                "--scheduler",
-                scheduler,
-            ];
-            let query_args = [
-                "query",
-                graph,
-                "--limit",
-                "10",
-                "--threads",
-                &threads_s,
-                "--scheduler",
-                scheduler,
-            ];
-            for args in [&enumerate_args[..], &query_args[..]] {
-                let got = run_mce(args);
-                assert_eq!(
-                    String::from_utf8(got).unwrap(),
-                    prefix,
-                    "{args:?}: --limit 10 must be the exact 10-line golden prefix"
-                );
-            }
+        let threads_s = threads.to_string();
+        let enumerate_args = [
+            "enumerate",
+            graph,
+            "--output",
+            "text",
+            "--limit",
+            "10",
+            "--threads",
+            &threads_s,
+        ];
+        let query_args = ["query", graph, "--limit", "10", "--threads", &threads_s];
+        for args in [&enumerate_args[..], &query_args[..]] {
+            let got = run_mce(args);
+            assert_eq!(
+                String::from_utf8(got).unwrap(),
+                prefix,
+                "{args:?}: --limit 10 must be the exact 10-line golden prefix"
+            );
         }
     }
 }
 
 /// The kernel-backend determinism gate: pinning any backend this host can
 /// run — scalar always, plus the native SIMD arm where present — must leave
-/// every byte of the golden corpus untouched at 1/2/4 threads under all
-/// three schedulers. Backends change throughput, never output.
+/// every byte of the golden corpus untouched at 1/2/4 threads. Backends
+/// change throughput, never output.
 #[test]
 fn goldens_replay_identically_under_every_kernel_backend() {
     for stem in [
@@ -309,27 +268,24 @@ fn goldens_replay_identically_under_every_kernel_backend() {
             .unwrap_or_else(|e| panic!("reading {golden}: {e}"));
         for backend in mce_graph::KernelBackend::available() {
             for threads in [1usize, 2, 4] {
-                for scheduler in ["dynamic", "static", "splitting"] {
-                    let out = mce()
-                        .arg("enumerate")
-                        .arg(corpus_dir().join(&graph))
-                        .args(["--output", "text"])
-                        .args(["--kernel", backend.name()])
-                        .args(["--threads", &threads.to_string()])
-                        .args(["--scheduler", scheduler])
-                        .output()
-                        .expect("spawning mce");
-                    assert!(
-                        out.status.success(),
-                        "enumerate {graph} --kernel {backend} failed: {}",
-                        String::from_utf8_lossy(&out.stderr)
-                    );
-                    assert_eq!(
-                        out.stdout, expected,
-                        "{graph} differs from {golden} under --kernel {backend} \
-                         at {threads} threads, {scheduler} scheduler"
-                    );
-                }
+                let out = mce()
+                    .arg("enumerate")
+                    .arg(corpus_dir().join(&graph))
+                    .args(["--output", "text"])
+                    .args(["--kernel", backend.name()])
+                    .args(["--threads", &threads.to_string()])
+                    .output()
+                    .expect("spawning mce");
+                assert!(
+                    out.status.success(),
+                    "enumerate {graph} --kernel {backend} failed: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                assert_eq!(
+                    out.stdout, expected,
+                    "{graph} differs from {golden} under --kernel {backend} \
+                     at {threads} threads"
+                );
             }
         }
     }
@@ -352,25 +308,22 @@ fn query_goldens_replay_under_env_pinned_backends() {
         let expected = std::fs::read(corpus_dir().join(golden)).unwrap();
         for backend in mce_graph::KernelBackend::available() {
             for threads in [1usize, 2, 4] {
-                for scheduler in ["dynamic", "static", "splitting"] {
-                    let out = mce()
-                        .args(&args)
-                        .args(["--threads", &threads.to_string()])
-                        .args(["--scheduler", scheduler])
-                        .env("MCE_KERNEL", backend.name())
-                        .output()
-                        .expect("spawning mce");
-                    assert!(
-                        out.status.success(),
-                        "{args:?} with MCE_KERNEL={backend} failed: {}",
-                        String::from_utf8_lossy(&out.stderr)
-                    );
-                    assert_eq!(
-                        out.stdout, expected,
-                        "{args:?} differs from {golden} under MCE_KERNEL={backend} \
-                         at {threads} threads, {scheduler} scheduler"
-                    );
-                }
+                let out = mce()
+                    .args(&args)
+                    .args(["--threads", &threads.to_string()])
+                    .env("MCE_KERNEL", backend.name())
+                    .output()
+                    .expect("spawning mce");
+                assert!(
+                    out.status.success(),
+                    "{args:?} with MCE_KERNEL={backend} failed: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                assert_eq!(
+                    out.stdout, expected,
+                    "{args:?} differs from {golden} under MCE_KERNEL={backend} \
+                     at {threads} threads"
+                );
             }
         }
     }

@@ -48,6 +48,27 @@ fn malformed_json_gets_bad_request_and_connection_survives() {
 }
 
 #[test]
+fn removed_scheduler_field_gets_bad_request() {
+    // `scheduler` is no longer a query field: a request carrying it is
+    // rejected, not silently run under the one driver.
+    let server = TestServer::start(ServeConfig::default()).unwrap();
+    let mut client = server.connect().unwrap();
+    client.roundtrip(&load_request("g", "0 1\n1 2\n")).unwrap();
+    for scheduler in ["dynamic", "static", "splitting"] {
+        let request = format!(r#"{{"op":"query","graph":"g","scheduler":"{scheduler}"}}"#);
+        let frames = client.roundtrip(&request).unwrap();
+        let frame = error_frame(&frames, "bad-request");
+        assert!(frame.contains("scheduler"), "{frame}");
+    }
+    // Without the field the same query runs.
+    let frames = client.roundtrip(r#"{"op":"query","graph":"g"}"#).unwrap();
+    assert!(
+        frames.last().unwrap().contains(r#""outcome":"complete""#),
+        "{frames:?}"
+    );
+}
+
+#[test]
 fn invalid_utf8_gets_bad_request_and_connection_survives() {
     let server = TestServer::start(ServeConfig::default()).unwrap();
     let mut client = server.connect().unwrap();

@@ -1,7 +1,7 @@
 //! Golden wire corpus for `mce serve`: replays a checked-in request script
 //! against an in-process server and compares the full response byte stream
-//! against a checked-in golden, at every server thread count × scheduler
-//! combination. The serve determinism contract — truncated responses are
+//! against a checked-in golden, at every server thread count. The serve
+//! determinism contract — truncated responses are
 //! exact byte-prefixes of complete ones, frames carry no scheduling-
 //! dependent fields — makes one golden file cover the whole matrix.
 //!
@@ -15,7 +15,6 @@
 
 use std::path::{Path, PathBuf};
 
-use hbbmc::RootScheduler;
 use mce_cli::serve::testkit::TestServer;
 use mce_cli::serve::ServeConfig;
 
@@ -42,10 +41,9 @@ fn requests() -> Vec<String> {
 
 /// Replays the corpus against a fresh server and returns the concatenated
 /// response frames (one per line, trailing newline).
-fn replay(default_threads: usize, scheduler: RootScheduler) -> String {
+fn replay(default_threads: usize) -> String {
     let server = TestServer::start(ServeConfig {
         default_threads,
-        scheduler,
         ..ServeConfig::default()
     })
     .expect("start server");
@@ -68,36 +66,30 @@ fn corpus_is_byte_identical_across_threads_and_schedulers() {
          `cargo test -p mce-cli --test serve_golden -- --ignored regen`)",
     );
     for threads in [1usize, 2, 4] {
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
-            let actual = replay(threads, scheduler);
-            if actual != golden {
-                if let Ok(dir) = std::env::var("SERVE_REPLAY_DIR") {
-                    let dir = PathBuf::from(dir);
-                    std::fs::create_dir_all(&dir).ok();
-                    let name = format!("responses.actual.t{threads}.{scheduler:?}.txt");
-                    std::fs::write(dir.join(name), &actual).ok();
-                }
-                // Locate the first differing line for a readable failure.
-                let mismatch = golden
-                    .lines()
-                    .zip(actual.lines())
-                    .enumerate()
-                    .find(|(_, (g, a))| g != a);
-                panic!(
-                    "serve golden mismatch at {threads} threads / {scheduler:?}: \
-                     first differing line {:?} (golden {:?} vs actual {:?}); \
-                     golden {} lines, actual {} lines",
-                    mismatch.map(|(i, _)| i + 1),
-                    mismatch.map(|(_, (g, _))| g),
-                    mismatch.map(|(_, (_, a))| a),
-                    golden.lines().count(),
-                    actual.lines().count(),
-                );
+        let actual = replay(threads);
+        if actual != golden {
+            if let Ok(dir) = std::env::var("SERVE_REPLAY_DIR") {
+                let dir = PathBuf::from(dir);
+                std::fs::create_dir_all(&dir).ok();
+                let name = format!("responses.actual.t{threads}.txt");
+                std::fs::write(dir.join(name), &actual).ok();
             }
+            // Locate the first differing line for a readable failure.
+            let mismatch = golden
+                .lines()
+                .zip(actual.lines())
+                .enumerate()
+                .find(|(_, (g, a))| g != a);
+            panic!(
+                "serve golden mismatch at {threads} threads: \
+                 first differing line {:?} (golden {:?} vs actual {:?}); \
+                 golden {} lines, actual {} lines",
+                mismatch.map(|(i, _)| i + 1),
+                mismatch.map(|(_, (g, _))| g),
+                mismatch.map(|(_, (_, a))| a),
+                golden.lines().count(),
+                actual.lines().count(),
+            );
         }
     }
 }
@@ -106,6 +98,6 @@ fn corpus_is_byte_identical_across_threads_and_schedulers() {
 #[test]
 #[ignore = "regenerates the golden file"]
 fn regen() {
-    let actual = replay(1, RootScheduler::Dynamic);
+    let actual = replay(1);
     std::fs::write(serve_corpus_dir().join("responses.golden"), actual).expect("write golden");
 }

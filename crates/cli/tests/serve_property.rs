@@ -6,7 +6,6 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use hbbmc::RootScheduler;
 use mce_cli::serve::testkit::{load_request, TestClient, TestServer};
 use mce_cli::serve::ServeConfig;
 
@@ -40,14 +39,6 @@ fn moon_moser_text(classes: u32) -> String {
     text
 }
 
-fn scheduler(index: usize) -> RootScheduler {
-    match index % 3 {
-        0 => RootScheduler::Dynamic,
-        1 => RootScheduler::Static,
-        _ => RootScheduler::Splitting,
-    }
-}
-
 /// Splits a response into (begin?, clique lines, terminal frame), panicking
 /// on any malformed shape.
 fn split_response(frames: &[String]) -> (Option<&String>, Vec<&String>, &String) {
@@ -79,18 +70,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// A clique-limited response's clique bytes are an exact prefix of the
-    /// unbudgeted response's, at every server thread count and scheduler.
+    /// unbudgeted response's, at every server thread count.
     #[test]
     fn truncated_response_is_byte_prefix_of_full_stream(
         pairs in proptest::collection::vec((0u32..20, 0u32..20), 1..120),
         limit in 1u64..12,
         threads in 1usize..4,
-        sched in 0usize..3,
         anchored in any::<bool>(),
     ) {
         let server = TestServer::start(ServeConfig {
             default_threads: threads,
-            scheduler: scheduler(sched),
             ..ServeConfig::default()
         }).unwrap();
         let mut client = server.connect().unwrap();
@@ -146,12 +135,10 @@ proptest! {
     fn cancellation_yields_well_formed_terminal_frames(
         classes in 3u32..6,
         threads in 1usize..4,
-        sched in 0usize..3,
         cancel_id in any::<bool>(),
     ) {
         let server = TestServer::start(ServeConfig {
             default_threads: threads,
-            scheduler: scheduler(sched),
             ..ServeConfig::default()
         }).unwrap();
         let mut client = server.connect().unwrap();
@@ -197,11 +184,9 @@ proptest! {
     fn evict_during_queries_never_corrupts_sessions(
         classes in 3u32..5,
         queries_per_client in 1usize..4,
-        sched in 0usize..3,
     ) {
         let server = TestServer::start(ServeConfig {
             default_threads: 2,
-            scheduler: scheduler(sched),
             max_sessions: 8,
             ..ServeConfig::default()
         }).unwrap();
@@ -261,13 +246,11 @@ proptest! {
     #[test]
     fn deadline_expiry_racing_evict_stays_well_formed(
         classes in 3u32..5,
-        sched in 0usize..3,
         deadline_ms in 0u64..3,
         reloads in 1usize..5,
     ) {
         let server = TestServer::start(ServeConfig {
             default_threads: 2,
-            scheduler: scheduler(sched),
             max_sessions: 8,
             ..ServeConfig::default()
         }).unwrap();

@@ -1,88 +1,75 @@
-//! Parallel enumeration: pulling schedulers over root branches and the
-//! splitting scheduler's shared task pool with mid-branch work donation.
+//! Parallel enumeration: one driver that runs the root branches on a shared
+//! task pool with mid-branch work donation and reassembles the deterministic
+//! sequential clique stream.
 //!
 //! The paper's algorithms are sequential, but its root branching step (Eq. 1 /
 //! Eq. 2) produces a large number of independent branches, which is exactly
-//! the structure that shared-memory parallel MCE implementations exploit.
-//! This module wires those branches to `std::thread::scope` scoped threads:
+//! the structure that shared-memory parallel MCE implementations exploit. One
+//! work-stealing pool with sub-branch donation is enough to run them (the
+//! single design of Das et al.'s shared-memory parallel MCE). This module
+//! wires the branches to `std::thread::scope` scoped threads:
 //!
 //! * The graph reduction and root ordering are computed **once** into a
-//!   shared [`RootPlan`](crate::solver) — previously every worker redid the
-//!   `O(δm)` preprocessing, which dominated multi-threaded runs.
-//! * Under the default [`RootScheduler::Dynamic`] policy, workers *pull*
-//!   chunks of root ranks from a shared atomic counter as they drain their
-//!   previous chunk. [`RootScheduler::Static`] retains fixed `rank % threads`
-//!   striping for deterministic per-worker assignment.
+//!   shared [`RootPlan`](crate::solver), and the rank-independent output
+//!   (graph-reduction cliques, isolated vertices) is emitted once, before any
+//!   worker starts.
 //! * Each worker owns a private scratch arena
 //!   ([`EnumerationState`](crate::EnumerationState)-equivalent), so the
-//!   recursion allocates nothing in steady state, and per-worker results are
-//!   returned from the scoped threads' `JoinHandle`s and merged at join — no
-//!   shared `Mutex` collection.
+//!   recursion allocates nothing in steady state, and per-worker statistics
+//!   are returned from the scoped threads' `JoinHandle`s and merged at join.
+//! * A one-thread run stays on the caller's thread, with no pool and no
+//!   sequencer.
 //!
-//! # The task-pool protocol of [`RootScheduler::Splitting`]
+//! # The task-pool protocol
 //!
-//! Both pulling policies are bounded below by the **largest root branch**:
-//! real clique workloads are heavily skewed, so once the rank queue drains,
-//! whoever holds the biggest subtree finishes alone while the other workers
-//! idle. The splitting scheduler removes that bound with mid-branch work
-//! donation (in the spirit of Das et al.'s dynamic sub-branch distribution
-//! and Almasri et al.'s GPU worker-list donation):
-//!
-//! 1. **Claiming.** Root ranks are pre-grouped into per-connected-component
-//!    chunks (components never share a clique, so each is an independent
-//!    shard); workers claim chunks — or donated tasks, which take priority —
-//!    from a shared `TaskPool` (the crate-private `pool` module) built on
-//!    `Mutex` + `Condvar` only.
+//! 1. **Claiming.** Workers claim contiguous chunks of root ranks, in rank
+//!    order, or donated tasks, which take priority, from a shared `TaskPool`
+//!    (the crate-private `pool` module) built on `Mutex` + `Condvar` only.
 //! 2. **Donation.** A worker that has run at least a threshold of branch
-//!    steps inside its current chunk checks a relaxed atomic: are any peers
-//!    starving? If so it packages the unexplored sibling candidates of its
-//!    *shallowest* splittable frame — the `R` prefix, the `(C, X)` bitsets,
-//!    the remaining branch list and a snapshot of the root's local graph —
-//!    into a self-contained `BranchTask` and pushes it to the pool. The
-//!    donated loop stops once its in-flight child returns.
+//!    steps inside its current work item checks a relaxed atomic: are any
+//!    peers starving? If so it packages the unexplored sibling candidates of
+//!    its *shallowest* splittable frame — the `R` prefix, the `(C, X)`
+//!    bitsets, the remaining branch list and a snapshot of the root's local
+//!    graph — into a self-contained `BranchTask` and pushes it to the pool.
+//!    The donated loop stops once its in-flight child returns.
 //! 3. **Stealing.** A starving worker wakes, pops the task and resumes it
 //!    through the same allocation-free recursion; stolen tasks can be split
 //!    again, so even a single giant root spreads over every idle worker.
-//! 4. **Sequencing.** For [`par_enumerate_ordered`], every task carries a
-//!    `(root_rank, SeqKey)` pair. The rank orders output coarsely; the key
-//!    linearises the donation tree within a rank (the `pool` module docs
-//!    derive why lexicographic key order equals the sequential emission
-//!    order). The sequencer holds a rank's parts until
-//!    the rank is *complete* — donations are registered with the sequencer
-//!    before the task enters the pool, so "parts received = 1 + donations
-//!    registered" is an exact completeness test — then emits them in key
-//!    order. The output stream is therefore byte-identical to the
-//!    sequential one at any thread count, under any scheduler.
+//! 4. **Sequencing.** Every work item carries a `(root_rank, SeqKey)` pair.
+//!    The rank orders output coarsely; the key linearises the donation tree
+//!    within a rank (the `pool` module docs derive why lexicographic key
+//!    order equals the sequential emission order). The sequencer holds a
+//!    rank's parts until the rank is *complete* — donations are registered
+//!    with the sequencer before the task enters the pool, so "parts received
+//!    = 1 + donations registered" is an exact completeness test — then emits
+//!    them in key order. The output stream is therefore byte-identical to
+//!    the sequential one at any thread count.
 //!
-//! Backpressure: the pulling schedulers park at most `SEQUENCER_BUFFER_CAP`
-//! (2¹⁶) out-of-order cliques (later depositors wait for the stream head).
-//! Splitting deposits never wait — a blocked depositor
-//! could be the only worker able to execute the stream head's stolen tasks —
-//! so ordered splitting runs trade the hard buffer bound for progress
-//! (donated work is claimed FIFO, which keeps buffering close to the head).
+//! Backpressure: the sequencer parks the cliques of ranks that finish ahead
+//! of the stream head, at most `SEQUENCER_BUFFER_CAP` (2¹⁶) of them plus one
+//! in-flight rank per worker. Deposits never wait; the pool's backlog gate
+//! lets a worker start a fresh rank only while the backlog is within the cap
+//! or when the rank is the stream head (the `pool` module docs prove that
+//! the gate cannot deadlock).
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
 
 use mce_graph::{GraphTopology, VertexId};
 
 use crate::budget::{Budget, BudgetReporter, BudgetState, Outcome};
-use crate::config::{ConfigError, RootScheduler, SolverConfig};
-use crate::pool::{BranchTask, DonationSink, PoolConfig, PoolWork, SeqKey, TaskPool};
-use crate::report::{CliqueReporter, CollectReporter, CountReporter};
+use crate::config::{ConfigError, SolverConfig};
+use crate::pool::{BranchTask, DonationSink, PoolConfig, PoolWork, SeqKey, TaskPool, CHUNK};
+use crate::report::{CliqueReporter, CountReporter};
 use crate::scratch::WorkerState;
 use crate::solver::{RootPlan, Solver};
 use crate::stats::EnumerationStats;
-
-/// Ranks per atomic-counter claim of the pulling scheduler. Small enough to
-/// balance skewed roots, large enough to keep counter contention negligible.
-const CHUNK: usize = 16;
 
 // ----------------------------------------------------------------------
 // Fault containment
@@ -90,7 +77,7 @@ const CHUNK: usize = 16;
 
 /// A typed failure of a parallel enumeration run.
 ///
-/// The ordered drivers catch panics raised inside worker bodies (including
+/// The driver catches panics raised inside worker bodies (including
 /// panics thrown by the caller's [`CliqueReporter`]): the first fault is
 /// recorded, the sibling workers drain their remaining work without
 /// executing it, the ordered stream stops at the deterministic prefix
@@ -176,43 +163,6 @@ impl FaultCell {
     }
 }
 
-/// An iterator handing out root ranks from a shared atomic counter in chunks.
-struct StealingRanks<'a> {
-    next_rank: &'a AtomicUsize,
-    total: usize,
-    current: usize,
-    end: usize,
-}
-
-impl<'a> StealingRanks<'a> {
-    fn new(next_rank: &'a AtomicUsize, total: usize) -> Self {
-        StealingRanks {
-            next_rank,
-            total,
-            current: 0,
-            end: 0,
-        }
-    }
-}
-
-impl Iterator for StealingRanks<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.current == self.end {
-            let start = self.next_rank.fetch_add(CHUNK, Ordering::Relaxed);
-            if start >= self.total {
-                return None;
-            }
-            self.current = start;
-            self.end = (start + CHUNK).min(self.total);
-        }
-        let rank = self.current;
-        self.current += 1;
-        Some(rank)
-    }
-}
-
 // ----------------------------------------------------------------------
 // Progress observation
 // ----------------------------------------------------------------------
@@ -230,7 +180,7 @@ pub struct ProgressCounters {
     /// Maximal cliques discovered so far (counted at discovery, which may
     /// run ahead of the ordered output stream).
     pub cliques_found: AtomicU64,
-    /// Sub-branch tasks donated by the splitting scheduler so far.
+    /// Sub-branch tasks donated to the task pool so far.
     pub splits: AtomicU64,
 }
 
@@ -280,338 +230,40 @@ impl<R: CliqueReporter + ?Sized> CliqueReporter for CountingReporter<'_, R> {
     }
 }
 
-// ----------------------------------------------------------------------
-// Unordered drivers
-// ----------------------------------------------------------------------
-
-/// Runs `threads` workers over the shared plan, streaming cliques to the
-/// per-worker reporters produced by `make_reporter`, and returns the
-/// `(reporter, stats)` pairs collected from the join handles.
-fn run_workers<G, R, F>(
-    solver: &Solver<'_, G>,
-    plan: &RootPlan,
-    threads: usize,
-    make_reporter: F,
-) -> Vec<(R, EnumerationStats)>
-where
-    G: GraphTopology + Sync,
-    R: CliqueReporter + Send,
-    F: Fn() -> R + Sync,
-{
-    match solver.config().scheduler {
-        RootScheduler::Splitting => {
-            run_workers_splitting(solver, plan, threads, PoolConfig::default(), make_reporter)
-        }
-        RootScheduler::Dynamic | RootScheduler::Static => {
-            run_workers_pulling(solver, plan, threads, make_reporter)
-        }
-    }
+/// The cliques of one work item in discovery order, stored flat (one
+/// vertex buffer plus end offsets) so buffering a clique costs no
+/// allocation of its own.
+#[derive(Default)]
+struct Cliques {
+    vertices: Vec<VertexId>,
+    ends: Vec<usize>,
 }
 
-/// The pulling-scheduler worker fleet (dynamic atomic-counter chunks or
-/// static striping).
-///
-/// Panic containment: a panicking worker records the first fault and exits;
-/// its siblings finish their own ranks and the fleet re-raises the fault
-/// *after* every thread has joined, so the scope never deadlocks and no lock
-/// is poisoned. (The ordered drivers go further and return a typed
-/// [`EngineError`]; the unordered fleets have no partial result worth
-/// salvaging.)
-fn run_workers_pulling<G, R, F>(
-    solver: &Solver<'_, G>,
-    plan: &RootPlan,
-    threads: usize,
-    make_reporter: F,
-) -> Vec<(R, EnumerationStats)>
-where
-    G: GraphTopology + Sync,
-    R: CliqueReporter + Send,
-    F: Fn() -> R + Sync,
-{
-    let scheduler = solver.config().scheduler;
-    let total = plan.root_count();
-    let next_rank = AtomicUsize::new(0);
-    let fault = FaultCell::new();
-
-    let results: Vec<Option<(R, EnumerationStats)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker_id| {
-                let next_rank = &next_rank;
-                let make_reporter = &make_reporter;
-                let fault = &fault;
-                scope.spawn(move || {
-                    let mut reporter = make_reporter();
-                    let mut state = WorkerState::new();
-                    let run = catch_unwind(AssertUnwindSafe(|| match scheduler {
-                        RootScheduler::Static => solver.run_on_plan(
-                            plan,
-                            (worker_id..total).step_by(threads),
-                            worker_id == 0,
-                            &mut state,
-                            None,
-                            &mut reporter,
-                        ),
-                        _ => solver.run_on_plan(
-                            plan,
-                            StealingRanks::new(next_rank, total),
-                            worker_id == 0,
-                            &mut state,
-                            None,
-                            &mut reporter,
-                        ),
-                    }));
-                    match run {
-                        Ok(stats) => Some((reporter, stats)),
-                        Err(payload) => {
-                            fault.record_payload(payload);
-                            None
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|payload| {
-                    fault.record_payload(payload);
-                    None
-                })
-            })
-            .collect()
-    });
-    if let Some(detail) = fault.take() {
-        resume_unwind(Box::new(detail));
+impl Cliques {
+    fn len(&self) -> usize {
+        self.ends.len()
     }
-    results.into_iter().flatten().collect()
+
+    fn iter(&self) -> impl Iterator<Item = &[VertexId]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.vertices[start..end])
+    }
 }
-
-/// The splitting-scheduler worker fleet: claim component chunks or donated
-/// tasks from the shared pool until it drains.
-fn run_workers_splitting<G, R, F>(
-    solver: &Solver<'_, G>,
-    plan: &RootPlan,
-    threads: usize,
-    pool_config: PoolConfig,
-    make_reporter: F,
-) -> Vec<(R, EnumerationStats)>
-where
-    G: GraphTopology + Sync,
-    R: CliqueReporter + Send,
-    F: Fn() -> R + Sync,
-{
-    let shards = plan
-        .shards
-        .as_ref()
-        .expect("splitting plan carries component shards");
-    let pool = TaskPool::new(shards.chunk_count(), pool_config);
-    let fault = FaultCell::new();
-
-    let results: Vec<Option<(R, EnumerationStats)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker_id| {
-                let pool = &pool;
-                let make_reporter = &make_reporter;
-                let fault = &fault;
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let mut reporter = make_reporter();
-                    let mut state = WorkerState::new();
-                    let mut stats = EnumerationStats::default();
-                    if worker_id == 0 {
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            solver.run_on_plan(
-                                plan,
-                                std::iter::empty(),
-                                true,
-                                &mut state,
-                                None,
-                                &mut reporter,
-                            )
-                        }));
-                        match run {
-                            Ok(s) => stats.merge(&s),
-                            Err(payload) => fault.record_payload(payload),
-                        }
-                    }
-                    // Every claimed item is completed even when its body
-                    // panics — a claimed-but-never-completed item would keep
-                    // the pool "active" forever and hang every sibling's
-                    // `claim()`. After a fault the pool still drains (items
-                    // are claimed and dropped unexecuted) so termination
-                    // detection stays exact.
-                    while let Some(work) = pool.claim() {
-                        if fault.is_set() {
-                            pool.complete();
-                            continue;
-                        }
-                        let run = catch_unwind(AssertUnwindSafe(|| match work {
-                            PoolWork::Chunk(chunk) => solver.run_ranks_donating(
-                                plan,
-                                shards.chunk(chunk),
-                                &mut state,
-                                pool,
-                                None,
-                                &mut reporter,
-                            ),
-                            PoolWork::Task(task) => {
-                                solver.run_branch_task(*task, &mut state, pool, None, &mut reporter)
-                            }
-                        }));
-                        pool.complete();
-                        match run {
-                            Ok(s) => stats.merge(&s),
-                            Err(payload) => {
-                                fault.record_payload(payload);
-                                break;
-                            }
-                        }
-                    }
-                    // `merge` summed per-item busy time but took the max of
-                    // per-item wall times; the worker's wall time is the
-                    // whole claim loop.
-                    stats.elapsed = start.elapsed();
-                    Some((reporter, stats))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|payload| {
-                    fault.record_payload(payload);
-                    None
-                })
-            })
-            .collect()
-    });
-    if let Some(detail) = fault.take() {
-        resume_unwind(Box::new(detail));
-    }
-    results.into_iter().flatten().collect()
-}
-
-/// Counts maximal cliques using `threads` workers. Returns the total count and
-/// the merged statistics (`elapsed` spans the whole call, preparation included).
-pub fn par_count_maximal_cliques<G: GraphTopology + Sync>(
-    g: &G,
-    config: &SolverConfig,
-    threads: usize,
-) -> (u64, EnumerationStats) {
-    let (total, merged, _) = par_count_with_worker_stats(g, config, threads);
-    (total, merged)
-}
-
-/// [`par_count_maximal_cliques`] that additionally returns each worker's own
-/// statistics, making the load balance of a run observable: comparing the
-/// per-worker `recursive_calls` (or `busy_time`) shares shows how evenly the
-/// scheduler spread the recursion tree — under a pulling scheduler one
-/// worker owns a skewed graph's giant root, under the splitting scheduler
-/// the shares approach `1 / threads`.
-pub fn par_count_with_worker_stats<G: GraphTopology + Sync>(
-    g: &G,
-    config: &SolverConfig,
-    threads: usize,
-) -> (u64, EnumerationStats, Vec<EnumerationStats>) {
-    let start = Instant::now();
-    let threads = threads.max(1);
-    let solver = Solver::new(g, *config).expect("invalid solver configuration");
-    let plan = solver.prepare();
-    let results = run_workers(&solver, &plan, threads, CountReporter::new);
-
-    let mut total = 0u64;
-    let mut merged = EnumerationStats::default();
-    let mut per_worker = Vec::with_capacity(results.len());
-    for (reporter, stats) in results {
-        total += reporter.count;
-        merged.merge(&stats);
-        per_worker.push(stats);
-    }
-    merged.elapsed = start.elapsed();
-    (total, merged, per_worker)
-}
-
-/// Collects all maximal cliques using `threads` workers, in canonical order.
-pub fn par_enumerate_collect<G: GraphTopology + Sync>(
-    g: &G,
-    config: &SolverConfig,
-    threads: usize,
-) -> (Vec<Vec<VertexId>>, EnumerationStats) {
-    let start = Instant::now();
-    let threads = threads.max(1);
-    let solver = Solver::new(g, *config).expect("invalid solver configuration");
-    let plan = solver.prepare();
-    let results = run_workers(&solver, &plan, threads, CollectReporter::new);
-
-    let mut cliques = Vec::new();
-    let mut merged = EnumerationStats::default();
-    for (reporter, stats) in results {
-        // CollectReporter already sorts each clique's members on report.
-        cliques.extend(reporter.cliques);
-        merged.merge(&stats);
-    }
-    merged.elapsed = start.elapsed();
-    cliques.sort();
-    (cliques, merged)
-}
-
-/// Streams maximal cliques to a shared reporter from `threads` workers. The
-/// reporter is locked per clique, so use this with cheap reporters (counters,
-/// writers) rather than heavy computations.
-pub fn par_enumerate_streaming<G: GraphTopology + Sync, R: CliqueReporter + Send>(
-    g: &G,
-    config: &SolverConfig,
-    threads: usize,
-    reporter: &mut R,
-) -> EnumerationStats {
-    struct SharedReporter<'a, R: CliqueReporter> {
-        inner: &'a Mutex<&'a mut R>,
-    }
-    impl<R: CliqueReporter> CliqueReporter for SharedReporter<'_, R> {
-        fn report(&mut self, clique: &[VertexId]) {
-            // Poison recovery: a panicking reporter is contained by the
-            // worker fleet, and the surviving workers must still be able to
-            // take this lock while they drain.
-            self.inner
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .report(clique);
-        }
-    }
-
-    let start = Instant::now();
-    let threads = threads.max(1);
-    let solver = Solver::new(g, *config).expect("invalid solver configuration");
-    let plan = solver.prepare();
-    let shared = Mutex::new(reporter);
-    let results = run_workers(&solver, &plan, threads, || SharedReporter {
-        inner: &shared,
-    });
-
-    let mut merged = EnumerationStats::default();
-    for (_, stats) in results {
-        merged.merge(&stats);
-    }
-    merged.elapsed = start.elapsed();
-    merged
-}
-
-// ----------------------------------------------------------------------
-// Deterministic ordered streaming
-// ----------------------------------------------------------------------
 
 /// Per-task clique buffer: preserves the sequential recursion order of one
 /// work item (a root branch or a stolen sub-branch) without sorting
 /// anything, ticking the progress counters at discovery time.
 struct RankBuffer<'a> {
-    cliques: Vec<Vec<VertexId>>,
+    cliques: Cliques,
     hook: ProgressHook<'a>,
 }
 
 impl<'a> RankBuffer<'a> {
     fn new(hook: ProgressHook<'a>) -> Self {
         RankBuffer {
-            cliques: Vec::new(),
+            cliques: Cliques::default(),
             hook,
         }
     }
@@ -620,7 +272,8 @@ impl<'a> RankBuffer<'a> {
 impl CliqueReporter for RankBuffer<'_> {
     fn report(&mut self, clique: &[VertexId]) {
         self.hook.cliques(1);
-        self.cliques.push(clique.to_vec());
+        self.cliques.vertices.extend_from_slice(clique);
+        self.cliques.ends.push(self.cliques.vertices.len());
     }
 }
 
@@ -631,7 +284,7 @@ struct RankParts {
     /// completes. `truncated` marks a part whose work item was cut short by
     /// the session budget — its cliques are a prefix of that item's
     /// sequential contribution.
-    parts: Vec<(SeqKey, Vec<Vec<VertexId>>, bool)>,
+    parts: Vec<(SeqKey, Cliques, bool)>,
     /// Donations registered for this rank. A rank is complete when
     /// `parts.len() == donations + 1` (the `+ 1` is the root's own task);
     /// donations are registered *before* their task enters the pool, so the
@@ -651,7 +304,7 @@ impl RankParts {
 struct Sequencer<'a, R: CliqueReporter + ?Sized> {
     next: usize,
     pending: BTreeMap<usize, RankParts>,
-    /// Total cliques currently parked in `pending` (the backpressure gauge).
+    /// Total cliques currently parked in `pending`.
     buffered_cliques: usize,
     /// Whether a truncated part reached the stream head: the emitted bytes
     /// end at a clean budget cut and nothing later may follow (the
@@ -663,6 +316,9 @@ struct Sequencer<'a, R: CliqueReporter + ?Sized> {
     /// [`EngineError::WorkerPanic`].
     fault: Option<String>,
     out: &'a mut R,
+    /// Largest out-of-order backlog seen after any deposit.
+    #[cfg(test)]
+    high_water: usize,
 }
 
 impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
@@ -674,7 +330,19 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
             closed: false,
             fault: None,
             out,
+            #[cfg(test)]
+            high_water: 0,
         }
+    }
+
+    /// Cliques parked for ranks other than the stream head: the backlog the
+    /// pool's gate bounds. (The head's own parts wait only for their rank to
+    /// complete, never for an earlier rank.)
+    fn out_of_order(&self) -> usize {
+        let head: usize = self.pending.get(&self.next).map_or(0, |slot| {
+            slot.parts.iter().map(|(_, cliques, _)| cliques.len()).sum()
+        });
+        self.buffered_cliques - head
     }
 
     /// Records that `rank` will receive one more part than previously known.
@@ -689,13 +357,7 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
     /// exact byte-prefix of the full deterministic stream. Returns whether
     /// the head advanced or the stream closed (both free waiting
     /// depositors).
-    fn deposit(
-        &mut self,
-        rank: usize,
-        key: SeqKey,
-        cliques: Vec<Vec<VertexId>>,
-        truncated: bool,
-    ) -> bool {
+    fn deposit(&mut self, rank: usize, key: SeqKey, cliques: Cliques, truncated: bool) -> bool {
         if self.closed {
             return true; // nothing further emits; park nothing
         }
@@ -724,6 +386,10 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
             self.pending.clear();
             self.buffered_cliques = 0;
         }
+        #[cfg(test)]
+        {
+            self.high_water = self.high_water.max(self.out_of_order());
+        }
         self.next != before || self.closed
     }
 
@@ -739,7 +405,7 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
             slot.parts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             for (_, cliques, part_truncated) in &slot.parts {
                 self.buffered_cliques -= cliques.len();
-                for clique in cliques {
+                for clique in cliques.iter() {
                     self.out.report(clique);
                 }
                 if *part_truncated {
@@ -755,55 +421,25 @@ impl<'a, R: CliqueReporter + ?Sized> Sequencer<'a, R> {
     }
 }
 
-/// Out-of-order cliques the sequencer may park before depositors must wait
-/// for the stream head to catch up (pulling schedulers only — see the module
-/// docs for why splitting deposits never wait). Bounds the ordered driver's
-/// memory at roughly this many cliques (plus one in-flight rank per worker)
-/// instead of the full result set when one early root branch is much slower
-/// than the rest.
+/// Out-of-order cliques the sequencer may park before the pool's gate holds
+/// back fresh root ranks. Bounds the driver's memory at roughly this many
+/// cliques (plus one in-flight rank per worker) instead of the full result
+/// set when one early root branch is much slower than the rest.
 const SEQUENCER_BUFFER_CAP: usize = 1 << 16;
 
-/// Deposits `cliques` for `rank`, waiting while the out-of-order buffer is
-/// over `cap`. Deadlock-free: the depositor holding a head-rank part never
-/// waits (its deposit is what drains the buffer and advances `next`, which
-/// eventually makes every waiting depositor the head of the stream).
-fn bounded_deposit<R: CliqueReporter + ?Sized>(
-    sequencer: &Mutex<Sequencer<'_, R>>,
-    drained: &Condvar,
-    cap: usize,
-    rank: usize,
-    cliques: Vec<Vec<VertexId>>,
-    truncated: bool,
-) {
-    // Poison recovery: the sequencer catches reporter panics itself, but a
-    // worker unwinding for any other reason while holding the lock must not
-    // strand its siblings behind a poisoned mutex.
-    let mut seq = sequencer.lock().unwrap_or_else(|e| e.into_inner());
-    while !seq.closed && rank != seq.next && seq.buffered_cliques + cliques.len() > cap {
-        seq = drained.wait(seq).unwrap_or_else(|e| e.into_inner());
-    }
-    if seq.deposit(rank, SeqKey::root(), cliques, truncated) {
-        // `next` moved (possibly past several parked ranks) or the stream
-        // closed: capacity was freed and some waiter may now be the stream
-        // head (or free to drop its deposit).
-        drained.notify_all();
-    }
-}
-
 /// Streams maximal cliques to `reporter` in a deterministic order that is
-/// independent of the thread count and of the [`RootScheduler`] variant: the
-/// rank-independent output first (graph-reduction cliques, then isolated
-/// vertices under edge-oriented branching), then the cliques of root rank 0,
-/// rank 1, … — each rank's cliques in sequential recursion order. The stream
-/// is byte-for-byte reproducible for any formatting reporter layered on top,
-/// which is what the CLI's golden-output determinism gate enforces.
+/// independent of the thread count: the rank-independent output first
+/// (graph-reduction cliques, then isolated vertices under edge-oriented
+/// branching), then the cliques of root rank 0, rank 1, … — each rank's
+/// cliques in sequential recursion order. The stream is byte-for-byte
+/// reproducible for any formatting reporter layered on top, which is what the
+/// CLI's golden-output determinism gate enforces.
 ///
-/// Workers still *claim* work according to `config.scheduler` — including
-/// stealing donated sub-branches under [`RootScheduler::Splitting`] — and a
-/// rank-plus-key sequencer reorders their buffered output before it reaches
-/// `reporter`. Under the pulling schedulers memory is bounded: at most a
-/// fixed cap (currently 2¹⁶) of out-of-order cliques are parked, with later
-/// depositors waiting instead of accumulating the full result set.
+/// Workers claim root ranks and steal donated sub-branches from a shared
+/// pool, and a rank-plus-key sequencer reorders their buffered output before
+/// it reaches `reporter`. Memory is bounded: at most a fixed cap (currently
+/// 2¹⁶) of out-of-order cliques, plus one in-flight rank per worker, are
+/// parked instead of the full result set.
 pub fn par_enumerate_ordered<G: GraphTopology + Sync, R: CliqueReporter + Send + ?Sized>(
     g: &G,
     config: &SolverConfig,
@@ -820,52 +456,51 @@ pub fn par_enumerate_ordered<G: GraphTopology + Sync, R: CliqueReporter + Send +
         None,
         reporter,
     ))
+    .map(|run| run.merged)
 }
 
 /// Maps a driver result back to the legacy `ConfigError` signature:
 /// configuration errors pass through, worker panics — already drained
 /// cleanly by the driver — are re-raised on the caller's thread.
-fn repanic_worker_faults(
-    result: Result<EnumerationStats, EngineError>,
-) -> Result<EnumerationStats, ConfigError> {
+fn repanic_worker_faults<T>(result: Result<T, EngineError>) -> Result<T, ConfigError> {
     match result {
-        Ok(stats) => Ok(stats),
+        Ok(run) => Ok(run),
         Err(EngineError::Config(e)) => Err(e),
         Err(EngineError::WorkerPanic { detail }) => resume_unwind(Box::new(detail)),
     }
 }
 
-/// [`par_enumerate_ordered`] with live progress counters: `progress` is
-/// updated as roots complete, cliques are discovered and sub-branches are
-/// donated, so a monitoring thread can report enumeration rates without
-/// touching the output stream.
-pub fn par_enumerate_ordered_observed<
-    G: GraphTopology + Sync,
-    R: CliqueReporter + Send + ?Sized,
->(
+/// Counts maximal cliques using `threads` workers of the ordered driver.
+/// Returns the total, the merged statistics (`elapsed` spans the whole
+/// call, preparation included) and each worker's own statistics, which make
+/// the load balance of a run observable: the per-worker `recursive_calls`
+/// (or `busy_time`) shares approach `1 / threads` as donation spreads even a
+/// single giant root over every worker. Panics on invalid configurations.
+pub fn par_count_with_worker_stats<G: GraphTopology + Sync>(
     g: &G,
     config: &SolverConfig,
     threads: usize,
-    reporter: &mut R,
-    progress: &ProgressCounters,
-) -> Result<EnumerationStats, ConfigError> {
-    repanic_worker_faults(par_enumerate_ordered_driver(
+) -> (u64, EnumerationStats, Vec<EnumerationStats>) {
+    let mut counter = CountReporter::new();
+    let run = par_enumerate_ordered_driver(
         g,
         config,
         threads,
         SEQUENCER_BUFFER_CAP,
         PoolConfig::default(),
-        Some(progress),
         None,
-        reporter,
-    ))
+        None,
+        &mut counter,
+    );
+    let run = repanic_worker_faults(run).expect("invalid solver configuration");
+    (counter.count, run.merged, run.per_worker)
 }
 
 /// [`par_enumerate_ordered`] under a [`Budget`]: the stream stops at the
 /// budget's clique cap, step bound or cancellation, and the emitted bytes are
 /// always an exact prefix of the unbudgeted deterministic stream — at any
-/// thread count, under any [`RootScheduler`]. With `max_cliques = Some(n)`
-/// the output is exactly the first `n` cliques of that stream.
+/// thread count. With `max_cliques = Some(n)` the output is exactly the
+/// first `n` cliques of that stream.
 ///
 /// Workers observe the budget between branch steps, so cancellation latency
 /// is bounded by one branch step plus the cost of unwinding. `progress`
@@ -924,11 +559,12 @@ where
         Some(state),
         &mut gated,
     )
+    .map(|run| run.merged)
 }
 
-/// The donation sink of ordered splitting runs: registers every donation
-/// with the sequencer (so rank completeness stays exact) before the task
-/// becomes visible in the pool.
+/// The donation sink of the driver: registers every donation with the
+/// sequencer (so rank completeness stays exact) before the task becomes
+/// visible in the pool.
 struct OrderedSink<'s, 'r, R: CliqueReporter + Send + ?Sized> {
     pool: &'s TaskPool,
     sequencer: &'s Mutex<Sequencer<'r, R>>,
@@ -954,9 +590,20 @@ impl<R: CliqueReporter + Send + ?Sized> DonationSink for OrderedSink<'_, '_, R> 
     }
 }
 
-/// The full ordered driver (internal): explicit buffer cap, pool tuning and
-/// optional progress counters, exposed for tests that force the backpressure
-/// or aggressive-splitting paths.
+/// What one run of the driver returns.
+pub(crate) struct DriverRun {
+    /// Statistics of the whole run (`elapsed` spans the whole call).
+    pub merged: EnumerationStats,
+    /// Each worker's own statistics (one entry for a one-thread run).
+    pub per_worker: Vec<EnumerationStats>,
+    /// Largest out-of-order backlog the sequencer held (0 without one).
+    #[cfg(test)]
+    pub parked_high_water: usize,
+}
+
+/// The driver behind every public entry point: explicit buffer cap, pool
+/// tuning and optional progress counters, exposed for tests that force the
+/// backpressure or aggressive-splitting paths.
 ///
 /// Fault containment: panics raised by worker bodies or by the caller's
 /// reporter are caught, the surviving workers drain, the stream keeps the
@@ -972,7 +619,7 @@ pub(crate) fn par_enumerate_ordered_driver<G, R>(
     progress: Option<&ProgressCounters>,
     budget: Option<&BudgetState>,
     mut reporter: &mut R,
-) -> Result<EnumerationStats, EngineError>
+) -> Result<DriverRun, EngineError>
 where
     G: GraphTopology + Sync,
     R: CliqueReporter + Send + ?Sized,
@@ -986,96 +633,71 @@ where
     if let Some(p) = progress {
         p.total_roots.store(total as u64, Ordering::Relaxed);
     }
+    let as_error = |payload: Box<dyn Any + Send>| EngineError::WorkerPanic {
+        detail: panic_detail(payload.as_ref()),
+    };
 
     // Rank-independent output first (deterministic given the plan).
     // `&mut reporter` re-borrows through the blanket `&mut R: CliqueReporter`
     // impl so unsized `R` still coerces to `&mut dyn CliqueReporter`. This
-    // and the single-threaded paths below run the caller's reporter on this
+    // and the one-thread path below run the caller's reporter on this
     // thread, so a panic here unwinds no scope — but it is still converted
     // to the typed error for a uniform contract.
-    let mut merged = {
-        let mut warm = WorkerState::new();
-        catch_unwind(AssertUnwindSafe(|| {
-            solver.run_on_plan(
-                &plan,
-                std::iter::empty(),
-                true,
-                &mut warm,
-                budget,
-                &mut reporter,
-            )
-        }))
-        .map_err(|payload| EngineError::WorkerPanic {
-            detail: panic_detail(payload.as_ref()),
-        })?
-    };
+    let mut merged = catch_unwind(AssertUnwindSafe(|| {
+        solver.emit_static(&plan, &mut reporter)
+    }))
+    .map_err(as_error)?;
     hook.cliques(merged.maximal_cliques);
 
     if threads == 1 {
         let mut state = WorkerState::new();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if progress.is_some() {
-                // Counted per clique (and per chunk of roots) so the counters
-                // tick while the run progresses, even inside one giant root.
-                let mut counted = CountingReporter {
-                    inner: &mut *reporter,
-                    hook,
-                };
-                let mut rank = 0usize;
-                while rank < total {
-                    let end = (rank + CHUNK).min(total);
-                    let stats = solver.run_on_plan(
-                        &plan,
-                        rank..end,
-                        false,
-                        &mut state,
-                        budget,
-                        &mut counted,
-                    );
-                    if let Some(p) = progress {
-                        p.roots_done
-                            .fetch_add((end - rank) as u64, Ordering::Relaxed);
-                    }
-                    merged.merge(&stats);
-                    rank = end;
-                }
-            } else {
-                let stats =
-                    solver.run_on_plan(&plan, 0..total, false, &mut state, budget, &mut reporter);
-                merged.merge(&stats);
+        let stats = catch_unwind(AssertUnwindSafe(|| {
+            if progress.is_none() {
+                return solver.run_ranks(&plan, 0..total, &mut state, None, budget, &mut reporter);
             }
-        }));
-        if let Err(payload) = run {
-            return Err(EngineError::WorkerPanic {
-                detail: panic_detail(payload.as_ref()),
-            });
-        }
+            // Counted per clique (and per chunk of roots) so the counters
+            // tick while the run progresses, even inside one giant root.
+            let mut counted = CountingReporter {
+                inner: &mut *reporter,
+                hook,
+            };
+            let mut stats = EnumerationStats::default();
+            for first in (0..total).step_by(CHUNK) {
+                let ranks = first..(first + CHUNK).min(total);
+                let done = ranks.len() as u64;
+                stats.merge(&solver.run_ranks(
+                    &plan,
+                    ranks,
+                    &mut state,
+                    None,
+                    budget,
+                    &mut counted,
+                ));
+                if let Some(p) = progress {
+                    p.roots_done.fetch_add(done, Ordering::Relaxed);
+                }
+            }
+            stats
+        }))
+        .map_err(as_error)?;
+        merged.merge(&stats);
         merged.elapsed = start.elapsed();
         merged.busy_time = merged.elapsed;
-        return Ok(merged);
+        return Ok(DriverRun {
+            merged,
+            per_worker: vec![stats],
+            #[cfg(test)]
+            parked_high_water: 0,
+        });
     }
 
-    let scheduler = solver.config().scheduler;
     let sequencer = Mutex::new(Sequencer::new(reporter));
-    let drained = Condvar::new();
+    let pool = TaskPool::new(total, threads, cap, pool_config);
     let fault = FaultCell::new();
-
-    let worker_stats: Vec<EnumerationStats> = match scheduler {
-        RootScheduler::Splitting => ordered_splitting_workers(
-            &solver,
-            &plan,
-            threads,
-            pool_config,
-            hook,
-            budget,
-            &sequencer,
-            &fault,
-        ),
-        RootScheduler::Dynamic | RootScheduler::Static => ordered_pulling_workers(
-            &solver, &plan, threads, cap, scheduler, hook, budget, &sequencer, &drained, &fault,
-        ),
-    };
-    for stats in &worker_stats {
+    let per_worker = pool_workers(
+        &solver, &plan, threads, &pool, hook, budget, &sequencer, &fault,
+    );
+    for stats in &per_worker {
         merged.merge(stats);
     }
     let sequencer = sequencer.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -1084,162 +706,57 @@ where
         // reporter; the error reports why the stream stopped there.
         return Err(EngineError::WorkerPanic { detail });
     }
+    // A stopped run may leave unclaimed ranks behind; the stream then ends
+    // at the head, an exact prefix.
+    let stopped = budget.is_some_and(BudgetState::should_stop);
     debug_assert!(
-        sequencer.closed || sequencer.next == total,
+        stopped || sequencer.closed || sequencer.next == total,
         "every rank must have been emitted unless the stream was truncated"
     );
-    debug_assert!(sequencer.closed || sequencer.pending.is_empty());
-    debug_assert!(sequencer.closed || sequencer.buffered_cliques == 0);
+    debug_assert!(stopped || sequencer.closed || sequencer.buffered_cliques == 0);
     merged.elapsed = start.elapsed();
-    Ok(merged)
-}
-
-/// Ordered workers under the pulling schedulers: one deposit per root rank,
-/// bounded by the sequencer buffer cap.
-#[allow(clippy::too_many_arguments)]
-fn ordered_pulling_workers<G: GraphTopology + Sync, R: CliqueReporter + Send + ?Sized>(
-    solver: &Solver<'_, G>,
-    plan: &RootPlan,
-    threads: usize,
-    cap: usize,
-    scheduler: RootScheduler,
-    hook: ProgressHook<'_>,
-    budget: Option<&BudgetState>,
-    sequencer: &Mutex<Sequencer<'_, R>>,
-    drained: &Condvar,
-    fault: &FaultCell,
-) -> Vec<EnumerationStats> {
-    let total = plan.root_count();
-    let next_rank = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker_id| {
-                let next_rank = &next_rank;
-                scope.spawn(move || {
-                    let mut state = WorkerState::new();
-                    let mut stats = EnumerationStats::default();
-                    // Returns `false` once the budget stopped the run or a
-                    // sibling faulted: the claimed rank gets an empty
-                    // truncated part (closing the ordered stream at or
-                    // before it) and the worker exits.
-                    let run_rank =
-                        |rank: usize, state: &mut WorkerState, stats: &mut EnumerationStats| {
-                            if fault.is_set() || budget.is_some_and(BudgetState::should_stop) {
-                                bounded_deposit(sequencer, drained, cap, rank, Vec::new(), true);
-                                return false;
-                            }
-                            let mut buffer = RankBuffer::new(hook);
-                            let run = catch_unwind(AssertUnwindSafe(|| {
-                                solver.run_on_plan(
-                                    plan,
-                                    std::iter::once(rank),
-                                    false,
-                                    state,
-                                    budget,
-                                    &mut buffer,
-                                )
-                            }));
-                            let s = match run {
-                                Ok(s) => s,
-                                Err(payload) => {
-                                    // First fault wins. Halt the siblings on
-                                    // the budget cadence when one exists,
-                                    // and close the faulted rank with an
-                                    // empty truncated part so no depositor
-                                    // waits on it forever.
-                                    fault.record_payload(payload);
-                                    if let Some(b) = budget {
-                                        b.halt_for_fault();
-                                    }
-                                    bounded_deposit(
-                                        sequencer,
-                                        drained,
-                                        cap,
-                                        rank,
-                                        Vec::new(),
-                                        true,
-                                    );
-                                    return false;
-                                }
-                            };
-                            // Re-check the budget after the run: a sibling may
-                            // exhaust the shared budget between the pre-check
-                            // above and the solver's own uncharged between-rank
-                            // check, in which case the rank returns empty stats
-                            // with `terminated_by_budget == 0` even though it
-                            // never ran. Marking a fully-completed rank
-                            // truncated is harmless — the outcome is truncated
-                            // anyway and the closed stream stays a prefix.
-                            let truncated = s.terminated_by_budget > 0
-                                || budget.is_some_and(BudgetState::should_stop);
-                            stats.merge(&s);
-                            hook.root_done();
-                            bounded_deposit(
-                                sequencer,
-                                drained,
-                                cap,
-                                rank,
-                                buffer.cliques,
-                                truncated,
-                            );
-                            true
-                        };
-                    match scheduler {
-                        RootScheduler::Static => {
-                            for rank in (worker_id..total).step_by(threads) {
-                                if !run_rank(rank, &mut state, &mut stats) {
-                                    break;
-                                }
-                            }
-                        }
-                        _ => {
-                            for rank in StealingRanks::new(next_rank, total) {
-                                if !run_rank(rank, &mut state, &mut stats) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    stats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("enumeration worker panicked"))
-            .collect()
+    Ok(DriverRun {
+        merged,
+        per_worker,
+        #[cfg(test)]
+        parked_high_water: sequencer.high_water,
     })
 }
 
-/// Ordered workers under the splitting scheduler: claim component chunks or
-/// donated tasks, deposit each work item's buffer under its `(rank, key)`.
+/// The worker fleet: each worker takes root ranks or donated tasks from the
+/// pool until it drains, and deposits every work item's cliques under its
+/// `(rank, key)`.
+///
+/// After a budget stop or a fault the pool hands out no further ranks, but
+/// every item already handed out is answered with an empty truncated part,
+/// so the sequencer's parts-per-rank accounting stays exact and the stream
+/// closes at a clean prefix.
 #[allow(clippy::too_many_arguments)]
-fn ordered_splitting_workers<G: GraphTopology + Sync, R: CliqueReporter + Send + ?Sized>(
+fn pool_workers<G: GraphTopology + Sync, R: CliqueReporter + Send + ?Sized>(
     solver: &Solver<'_, G>,
     plan: &RootPlan,
     threads: usize,
-    pool_config: PoolConfig,
+    pool: &TaskPool,
     hook: ProgressHook<'_>,
     budget: Option<&BudgetState>,
     sequencer: &Mutex<Sequencer<'_, R>>,
     fault: &FaultCell,
 ) -> Vec<EnumerationStats> {
-    let shards = plan
-        .shards
-        .as_ref()
-        .expect("splitting plan carries component shards");
-    let pool = TaskPool::new(shards.chunk_count(), pool_config);
-    let deposit = |rank: usize, key: SeqKey, cliques: Vec<Vec<VertexId>>, truncated: bool| {
-        sequencer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .deposit(rank, key, cliques, truncated);
+    let deposit = |rank: usize, key: SeqKey, cliques: Cliques, truncated: bool| {
+        // Poison recovery: the sequencer catches reporter panics itself, but
+        // a worker unwinding for any other reason while holding the lock must
+        // not strand its siblings behind a poisoned mutex.
+        let mut seq = sequencer.lock().unwrap_or_else(|e| e.into_inner());
+        let advanced = seq.deposit(rank, key, cliques, truncated);
+        pool.publish(seq.next, seq.out_of_order());
+        drop(seq);
+        if advanced {
+            pool.wake();
+        }
     };
-
     thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let pool = &pool;
                 let deposit = &deposit;
                 scope.spawn(move || {
                     let start = Instant::now();
@@ -1250,105 +767,73 @@ fn ordered_splitting_workers<G: GraphTopology + Sync, R: CliqueReporter + Send +
                     };
                     let mut state = WorkerState::new();
                     let mut stats = EnumerationStats::default();
-                    // Records a fault and halts the siblings on the budget
-                    // cadence; the faulted work item is answered with an
-                    // empty truncated part by the caller.
-                    let record_fault = |payload: Box<dyn Any + Send>| {
-                        fault.record_payload(payload);
-                        if let Some(b) = budget {
-                            b.halt_for_fault();
+                    let mut chunk = 0..0;
+                    while let Some(work) = pool.next(&mut chunk) {
+                        let (rank, key) = match &work {
+                            PoolWork::Rank(rank) => (*rank, SeqKey::root()),
+                            PoolWork::Task(task) => (task.rank, task.key.clone()),
+                        };
+                        if fault.is_set() || budget.is_some_and(BudgetState::should_stop) {
+                            chunk.start = chunk.end;
+                            pool.stop();
+                            deposit(rank, key, Cliques::default(), true);
+                            continue;
                         }
-                    };
-                    // After a budget stop or a fault, the pool must still
-                    // drain so the sequencer's parts-per-rank accounting
-                    // stays exact: every remaining work item is claimed and
-                    // immediately answered with an empty truncated part, and
-                    // `complete()` runs for every claimed item even when its
-                    // body panicked (a claimed-but-never-completed item
-                    // would hang every sibling's `claim()`).
-                    while let Some(work) = pool.claim() {
-                        let stopped =
-                            fault.is_set() || budget.is_some_and(BudgetState::should_stop);
-                        match work {
-                            PoolWork::Chunk(chunk) => {
-                                for rank in shards.chunk(chunk) {
-                                    if stopped
-                                        || fault.is_set()
-                                        || budget.is_some_and(BudgetState::should_stop)
-                                    {
-                                        deposit(rank, SeqKey::root(), Vec::new(), true);
-                                        continue;
-                                    }
-                                    let mut buffer = RankBuffer::new(hook);
-                                    let run = catch_unwind(AssertUnwindSafe(|| {
-                                        solver.run_ranks_donating(
-                                            plan,
-                                            std::iter::once(rank),
-                                            &mut state,
-                                            &sink,
-                                            budget,
-                                            &mut buffer,
-                                        )
-                                    }));
-                                    match run {
-                                        Ok(s) => {
-                                            hook.root_done();
-                                            // Same post-run re-check as the
-                                            // pulling path: a sibling's budget
-                                            // exhaustion between our pre-check
-                                            // and the solver's between-rank
-                                            // check yields empty stats for a
-                                            // never-run rank.
-                                            let truncated = s.terminated_by_budget > 0
-                                                || budget.is_some_and(BudgetState::should_stop);
-                                            stats.merge(&s);
-                                            deposit(
-                                                rank,
-                                                SeqKey::root(),
-                                                buffer.cliques,
-                                                truncated,
-                                            );
-                                        }
-                                        Err(payload) => {
-                                            record_fault(payload);
-                                            deposit(rank, SeqKey::root(), Vec::new(), true);
-                                        }
-                                    }
-                                }
+                        let mut buffer = RankBuffer::new(hook);
+                        let run = catch_unwind(AssertUnwindSafe(|| match work {
+                            PoolWork::Rank(rank) => {
+                                let once = std::iter::once(rank);
+                                let s = solver.run_ranks(
+                                    plan,
+                                    once,
+                                    &mut state,
+                                    Some(&sink),
+                                    budget,
+                                    &mut buffer,
+                                );
+                                hook.root_done();
+                                s
                             }
-                            PoolWork::Task(task) => {
-                                let rank = task.rank;
-                                let key = task.key.clone();
-                                if stopped {
-                                    deposit(rank, key, Vec::new(), true);
-                                } else {
-                                    let mut buffer = RankBuffer::new(hook);
-                                    let run = catch_unwind(AssertUnwindSafe(|| {
-                                        solver.run_branch_task(
-                                            *task,
-                                            &mut state,
-                                            &sink,
-                                            budget,
-                                            &mut buffer,
-                                        )
-                                    }));
-                                    match run {
-                                        Ok(s) => {
-                                            let truncated = s.terminated_by_budget > 0
-                                                || budget.is_some_and(BudgetState::should_stop);
-                                            stats.merge(&s);
-                                            deposit(rank, key, buffer.cliques, truncated);
-                                        }
-                                        Err(payload) => {
-                                            record_fault(payload);
-                                            deposit(rank, key, Vec::new(), true);
-                                        }
-                                    }
+                            PoolWork::Task(task) => solver.run_branch_task(
+                                *task,
+                                &mut state,
+                                &sink,
+                                budget,
+                                &mut buffer,
+                            ),
+                        }));
+                        match run {
+                            Ok(s) => {
+                                // Re-check the budget after the run: a
+                                // sibling may exhaust the shared budget
+                                // between the check above and the solver's
+                                // own uncharged between-rank check, in which
+                                // case the rank returns empty stats with
+                                // `terminated_by_budget == 0` even though it
+                                // never ran. Marking a fully-completed item
+                                // truncated is harmless — the outcome is
+                                // truncated anyway and the closed stream
+                                // stays a prefix.
+                                let truncated = s.terminated_by_budget > 0
+                                    || budget.is_some_and(BudgetState::should_stop);
+                                stats.merge(&s);
+                                deposit(rank, key, buffer.cliques, truncated);
+                            }
+                            Err(payload) => {
+                                // First fault wins; halt the siblings on the
+                                // budget cadence and close the faulted item
+                                // with an empty truncated part.
+                                fault.record_payload(payload);
+                                if let Some(b) = budget {
+                                    b.halt_for_fault();
                                 }
+                                deposit(rank, key, Cliques::default(), true);
                             }
                         }
-                        pool.complete();
                     }
+                    // `merge` summed per-item busy time but took the max of
+                    // per-item wall times; the worker's wall time is the
+                    // whole claim loop.
                     stats.elapsed = start.elapsed();
                     stats
                 })
@@ -1370,7 +855,7 @@ fn ordered_splitting_workers<G: GraphTopology + Sync, R: CliqueReporter + Send +
 mod tests {
     use super::*;
     use crate::naive::naive_maximal_cliques;
-    use crate::report::{CliqueLineFormat, WriterReporter};
+    use crate::report::{CliqueLineFormat, CollectReporter, WriterReporter};
     use crate::solver::count_maximal_cliques;
     use mce_graph::Graph;
 
@@ -1401,13 +886,6 @@ mod tests {
         .unwrap()
     }
 
-    /// `hbbmc_pp` with the given scheduler.
-    fn cfg_with(scheduler: RootScheduler) -> SolverConfig {
-        let mut cfg = SolverConfig::hbbmc_pp();
-        cfg.scheduler = scheduler;
-        cfg
-    }
-
     /// A pool configuration that donates at every single branch step,
     /// maximising task fragmentation even on tiny graphs.
     fn aggressive_pool() -> PoolConfig {
@@ -1417,66 +895,63 @@ mod tests {
         }
     }
 
+    /// The driver with an explicit cap and pool, no progress, no budget.
+    fn drive<R: CliqueReporter + Send + ?Sized>(
+        g: &Graph,
+        cfg: &SolverConfig,
+        threads: usize,
+        cap: usize,
+        pool: PoolConfig,
+        reporter: &mut R,
+    ) -> Result<DriverRun, EngineError> {
+        par_enumerate_ordered_driver(g, cfg, threads, cap, pool, None, None, reporter)
+    }
+
     #[test]
     fn parallel_count_matches_sequential() {
         let g = test_graph();
         let (seq, _) = count_maximal_cliques(&g, &SolverConfig::hbbmc_pp());
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
-            for threads in [1, 2, 4, 7] {
-                let (par, stats) = par_count_maximal_cliques(&g, &cfg_with(scheduler), threads);
-                assert_eq!(par, seq, "{scheduler:?}, threads = {threads}");
-                assert_eq!(stats.maximal_cliques, seq);
-            }
+        for threads in [1, 2, 4, 7] {
+            let (par, stats, per_worker) =
+                par_count_with_worker_stats(&g, &SolverConfig::hbbmc_pp(), threads);
+            assert_eq!(par, seq, "threads = {threads}");
+            assert_eq!(stats.maximal_cliques, seq);
+            assert_eq!(per_worker.len(), threads);
         }
     }
 
     #[test]
     fn parallel_collect_matches_reference() {
         let g = test_graph();
-        let expected = naive_maximal_cliques(&g);
-        let (got, _) = par_enumerate_collect(&g, &SolverConfig::r_degen(), 3);
-        assert_eq!(got, expected);
-        let mut cfg = SolverConfig::r_degen();
-        cfg.scheduler = RootScheduler::Splitting;
-        let (got, _) = par_enumerate_collect(&g, &cfg, 3);
-        assert_eq!(got, expected);
+        let mut collector = CollectReporter::new();
+        par_enumerate_ordered(&g, &SolverConfig::r_degen(), 3, &mut collector).unwrap();
+        assert_eq!(collector.into_sorted(), naive_maximal_cliques(&g));
     }
 
     #[test]
     fn streaming_reporter_sees_every_clique() {
         let g = test_graph();
         let expected = naive_maximal_cliques(&g).len() as u64;
-        for scheduler in [RootScheduler::Dynamic, RootScheduler::Splitting] {
-            let mut counter = CountReporter::new();
-            let stats = par_enumerate_streaming(&g, &cfg_with(scheduler), 4, &mut counter);
-            assert_eq!(counter.count, expected, "{scheduler:?}");
-            assert_eq!(stats.maximal_cliques, expected);
-        }
+        let mut counter = CountReporter::new();
+        let stats = par_enumerate_ordered(&g, &SolverConfig::hbbmc_pp(), 4, &mut counter).unwrap();
+        assert_eq!(counter.count, expected);
+        assert_eq!(stats.maximal_cliques, expected);
     }
 
     #[test]
     fn zero_threads_is_clamped_to_one() {
         let g = Graph::complete(4);
-        let (count, _) = par_count_maximal_cliques(&g, &SolverConfig::hbbmc_pp(), 0);
+        let (count, _, per_worker) = par_count_with_worker_stats(&g, &SolverConfig::hbbmc_pp(), 0);
         assert_eq!(count, 1);
+        assert_eq!(per_worker.len(), 1);
     }
 
     #[test]
     fn more_threads_than_roots_is_fine() {
         let g = Graph::complete(3); // one root survives reduction
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
-            for threads in [2, 8, 16] {
-                let (count, _) = par_count_maximal_cliques(&g, &cfg_with(scheduler), threads);
-                assert_eq!(count, 1, "{scheduler:?}, threads = {threads}");
-            }
+        for threads in [2, 8, 16] {
+            let (count, _, _) = par_count_with_worker_stats(&g, &SolverConfig::hbbmc_pp(), threads);
+            assert_eq!(count, 1, "threads = {threads}");
         }
     }
 
@@ -1492,41 +967,87 @@ mod tests {
         let g = test_graph();
         let baseline = ordered_bytes(&g, &SolverConfig::hbbmc_pp(), 1);
         assert!(!baseline.is_empty());
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
-            for threads in [1, 2, 4, 7] {
-                let bytes = ordered_bytes(&g, &cfg_with(scheduler), threads);
-                assert_eq!(
-                    bytes, baseline,
-                    "scheduler {scheduler:?}, threads {threads}"
-                );
-            }
+        for threads in [2, 4, 7] {
+            let bytes = ordered_bytes(&g, &SolverConfig::hbbmc_pp(), threads);
+            assert_eq!(bytes, baseline, "threads {threads}");
         }
     }
 
     #[test]
     fn ordered_stream_with_tiny_buffer_cap_still_matches() {
-        // Forces the backpressure path: with cap 0 every out-of-order deposit
-        // waits until its rank becomes the stream head.
+        // Forces the backlog gate: with cap 0 every worker whose rank is not
+        // the stream head waits as soon as one clique is parked.
         let g = test_graph();
         let baseline = ordered_bytes(&g, &SolverConfig::hbbmc_pp(), 1);
         for cap in [0usize, 1, 3] {
             let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
-            par_enumerate_ordered_driver(
-                &g,
-                &SolverConfig::hbbmc_pp(),
-                4,
-                cap,
-                PoolConfig::default(),
-                None,
-                None,
-                &mut reporter,
-            )
-            .unwrap();
+            let cfg = SolverConfig::hbbmc_pp();
+            drive(&g, &cfg, 4, cap, PoolConfig::default(), &mut reporter).unwrap();
             assert_eq!(reporter.finish().unwrap(), baseline, "cap {cap}");
+        }
+    }
+
+    /// A vertex `0` adjacent to every vertex of a Moon–Moser graph
+    /// `K(3, …, 3)` on `1..=3k`, followed by a path of `tail` vertices. Under
+    /// the natural vertex order rank 0 holds all `3^k` cliques of the dense
+    /// part (a heavy first rank), and every later rank at most one clique.
+    fn heavy_first_rank(k: u32, tail: u32) -> Graph {
+        let dense = 3 * k;
+        let mut edges: Vec<(u32, u32)> = (1..=dense).map(|v| (0, v)).collect();
+        for u in 1..=dense {
+            for v in (u + 1)..=dense {
+                if (u - 1) / 3 != (v - 1) / 3 {
+                    edges.push((u, v));
+                }
+            }
+        }
+        for v in (dense + 2)..(dense + 1 + tail) {
+            edges.push((v - 1, v));
+        }
+        Graph::from_edges((dense + 1 + tail) as usize, edges).unwrap()
+    }
+
+    #[test]
+    fn out_of_order_backlog_stays_within_cap_plus_one_rank_per_worker() {
+        let g = heavy_first_rank(6, 2_000);
+        let cfg = SolverConfig {
+            initial: crate::InitialBranching::Vertex(
+                mce_graph::ordering::VertexOrderingKind::Natural,
+            ),
+            early_termination_t: 0,
+            graph_reduction: false,
+            ..SolverConfig::r_degen()
+        };
+        // The largest single-rank output, rank 0 aside: rank 0 is the stream
+        // head from the start, so its cliques are never out of order.
+        let solver = Solver::new(&g, cfg).unwrap();
+        let plan = solver.prepare();
+        let mut state = WorkerState::new();
+        let rank_output = |rank: usize, state: &mut WorkerState| {
+            let mut count = CountReporter::new();
+            solver.run_ranks(&plan, std::iter::once(rank), state, None, None, &mut count);
+            count.count as usize
+        };
+        assert_eq!(rank_output(0, &mut state), 729);
+        let max_rank = (1..plan.root_count())
+            .map(|rank| rank_output(rank, &mut state))
+            .max()
+            .unwrap();
+        let baseline = ordered_bytes(&g, &cfg, 1);
+        for pool in [PoolConfig::default(), aggressive_pool()] {
+            for threads in [2usize, 4] {
+                for cap in [0usize, 1, 3] {
+                    let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
+                    let run = drive(&g, &cfg, threads, cap, pool, &mut reporter).unwrap();
+                    assert_eq!(reporter.finish().unwrap(), baseline);
+                    assert!(
+                        run.parked_high_water <= cap + threads * max_rank,
+                        "{pool:?} x{threads}, cap {cap}: {} parked, bound {}",
+                        run.parked_high_water,
+                        cap + threads * max_rank
+                    );
+                }
+            }
         }
     }
 
@@ -1539,19 +1060,21 @@ mod tests {
         let baseline = ordered_bytes(&g, &SolverConfig::hbbmc_pp(), 1);
         for threads in [2, 3, 4, 8] {
             let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
-            let stats = par_enumerate_ordered_driver(
+            let cfg = SolverConfig::hbbmc_pp();
+            let run = drive(
                 &g,
-                &cfg_with(RootScheduler::Splitting),
+                &cfg,
                 threads,
                 SEQUENCER_BUFFER_CAP,
                 aggressive_pool(),
-                None,
-                None,
                 &mut reporter,
             )
             .unwrap();
             assert_eq!(reporter.finish().unwrap(), baseline, "threads {threads}");
-            assert_eq!(stats.splits, stats.steals, "every donation is executed");
+            assert_eq!(
+                run.merged.splits, run.merged.steals,
+                "every donation is executed"
+            );
         }
     }
 
@@ -1563,20 +1086,18 @@ mod tests {
         // reduction and early termination would otherwise resolve this dense
         // instance without any splittable recursion.
         let g = mce_gen::moon_moser(4);
-        let mut cfg = SolverConfig::hbbmc_bare();
-        cfg.scheduler = RootScheduler::Splitting;
         let mut count = CountReporter::new();
-        let stats = par_enumerate_ordered_driver(
+        let cfg = SolverConfig::hbbmc_bare();
+        let stats = drive(
             &g,
             &cfg,
             4,
             SEQUENCER_BUFFER_CAP,
             aggressive_pool(),
-            None,
-            None,
             &mut count,
         )
-        .unwrap();
+        .unwrap()
+        .merged;
         assert_eq!(count.count, 81); // 3^4
         assert!(stats.splits > 0, "aggressive pool must split: {stats:?}");
         assert_eq!(stats.splits, stats.steals);
@@ -1586,24 +1107,22 @@ mod tests {
     fn ordered_stream_reports_every_clique() {
         let g = test_graph();
         let expected = naive_maximal_cliques(&g);
-        for scheduler in [RootScheduler::Dynamic, RootScheduler::Splitting] {
-            let mut collector = CollectReporter::new();
-            let stats = par_enumerate_ordered(&g, &cfg_with(scheduler), 4, &mut collector).unwrap();
-            assert_eq!(collector.into_sorted(), expected, "{scheduler:?}");
-            assert_eq!(stats.maximal_cliques as usize, expected.len());
-        }
+        let mut collector = CollectReporter::new();
+        let stats =
+            par_enumerate_ordered(&g, &SolverConfig::hbbmc_pp(), 4, &mut collector).unwrap();
+        assert_eq!(collector.into_sorted(), expected);
+        assert_eq!(stats.maximal_cliques as usize, expected.len());
     }
 
     #[test]
     fn ordered_stream_matches_for_vertex_oriented_presets() {
         let g = test_graph();
         let baseline = ordered_bytes(&g, &SolverConfig::r_degen(), 1);
-        for scheduler in [RootScheduler::Dynamic, RootScheduler::Splitting] {
-            let mut cfg = SolverConfig::r_degen();
-            cfg.scheduler = scheduler;
-            for threads in [2, 5] {
-                assert_eq!(ordered_bytes(&g, &cfg, threads), baseline, "{scheduler:?}");
-            }
+        for threads in [2, 5] {
+            assert_eq!(
+                ordered_bytes(&g, &SolverConfig::r_degen(), threads),
+                baseline
+            );
         }
     }
 
@@ -1623,8 +1142,17 @@ mod tests {
         for threads in [1usize, 4] {
             let progress = ProgressCounters::new();
             let mut count = CountReporter::new();
-            let cfg = cfg_with(RootScheduler::Splitting);
-            par_enumerate_ordered_observed(&g, &cfg, threads, &mut count, &progress).unwrap();
+            let cfg = SolverConfig::hbbmc_pp();
+            let unlimited = Budget::unlimited();
+            par_enumerate_ordered_budgeted(
+                &g,
+                &cfg,
+                threads,
+                &unlimited,
+                Some(&progress),
+                &mut count,
+            )
+            .unwrap();
             assert_eq!(count.count, expected, "threads {threads}");
             assert_eq!(
                 progress.cliques_found.load(Ordering::Relaxed),
@@ -1672,64 +1200,56 @@ mod tests {
         par_enumerate_ordered(&g, &SolverConfig::hbbmc_pp(), 1, &mut baseline).unwrap();
         let full = baseline.cliques;
         assert!(full.len() > 4);
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
-            for threads in [1usize, 2, 4] {
-                for keep in [0usize, 1, 3] {
-                    let mut reporter = PanicAfter::new(keep);
-                    let err = par_enumerate_ordered_driver(
-                        &g,
-                        &cfg_with(scheduler),
-                        threads,
-                        SEQUENCER_BUFFER_CAP,
-                        PoolConfig::default(),
-                        None,
-                        None,
-                        &mut reporter,
-                    )
-                    .unwrap_err();
-                    match err {
-                        EngineError::WorkerPanic { detail } => {
-                            assert_eq!(detail, "injected reporter fault")
-                        }
-                        other => panic!("expected WorkerPanic, got {other:?}"),
+        for threads in [1usize, 2, 4] {
+            for keep in [0usize, 1, 3] {
+                let mut reporter = PanicAfter::new(keep);
+                let cfg = SolverConfig::hbbmc_pp();
+                let err = drive(
+                    &g,
+                    &cfg,
+                    threads,
+                    SEQUENCER_BUFFER_CAP,
+                    PoolConfig::default(),
+                    &mut reporter,
+                )
+                .err()
+                .expect("the fault must surface");
+                match err {
+                    EngineError::WorkerPanic { detail } => {
+                        assert_eq!(detail, "injected reporter fault")
                     }
-                    assert_eq!(
-                        reporter.collected,
-                        &full[..keep],
-                        "{scheduler:?} x{threads}, keep {keep}: the cliques emitted \
-                         before the fault are the deterministic prefix"
-                    );
+                    other => panic!("expected WorkerPanic, got {other:?}"),
                 }
+                assert_eq!(
+                    reporter.collected,
+                    &full[..keep],
+                    "x{threads}, keep {keep}: the cliques emitted before the fault are the \
+                     deterministic prefix"
+                );
             }
         }
     }
 
     #[test]
     fn splitting_worker_panic_with_forced_fragmentation_does_not_hang() {
-        // The panic fires inside `Sequencer::deposit` while pool items and
-        // donated tasks are in flight: every claimed item must still be
-        // completed, the pool must drain, and the driver must return the
-        // typed error instead of hanging `claim()` forever.
+        // The panic fires inside `Sequencer::deposit` while ranks and
+        // donated tasks are in flight: every handed-out item must still be
+        // answered, the pool must drain, and the driver must return the
+        // typed error instead of hanging `next()` forever.
         let g = mce_gen::moon_moser(4);
-        let mut cfg = SolverConfig::hbbmc_bare();
-        cfg.scheduler = RootScheduler::Splitting;
+        let cfg = SolverConfig::hbbmc_bare();
         for threads in [2usize, 4] {
             let mut reporter = PanicAfter::new(5);
-            let err = par_enumerate_ordered_driver(
+            let err = drive(
                 &g,
                 &cfg,
                 threads,
                 SEQUENCER_BUFFER_CAP,
                 aggressive_pool(),
-                None,
-                None,
                 &mut reporter,
             )
-            .unwrap_err();
+            .err()
+            .expect("the fault must surface");
             assert!(matches!(err, EngineError::WorkerPanic { .. }));
             assert_eq!(reporter.collected.len(), 5, "threads {threads}");
         }
@@ -1737,60 +1257,53 @@ mod tests {
 
     #[test]
     fn unordered_worker_panic_propagates_after_a_clean_drain() {
+        // The public entry point re-raises a drained fault on the caller's
+        // thread with the original payload.
         let g = test_graph();
-        for scheduler in [RootScheduler::Dynamic, RootScheduler::Splitting] {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                let mut reporter = PanicAfter::new(2);
-                par_enumerate_streaming(&g, &cfg_with(scheduler), 4, &mut reporter);
-            }));
-            let payload = caught.expect_err("the fault must reach the caller");
-            assert_eq!(
-                payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .unwrap_or_default(),
-                "injected reporter fault",
-                "{scheduler:?}"
-            );
-        }
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let mut reporter = PanicAfter::new(2);
+            let _ = par_enumerate_ordered(&g, &SolverConfig::hbbmc_pp(), 4, &mut reporter);
+        }));
+        let payload = caught.expect_err("the fault must reach the caller");
+        assert_eq!(
+            payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default(),
+            "injected reporter fault"
+        );
     }
 
     #[test]
     fn deadline_truncates_to_a_byte_prefix() {
         let g = test_graph();
         let baseline = ordered_bytes(&g, &SolverConfig::hbbmc_pp(), 1);
-        for scheduler in [
-            RootScheduler::Dynamic,
-            RootScheduler::Static,
-            RootScheduler::Splitting,
-        ] {
-            for threads in [1usize, 2, 4] {
-                let budget = Budget::within(std::time::Duration::ZERO);
-                let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
-                let (stats, outcome) = par_enumerate_ordered_budgeted(
-                    &g,
-                    &cfg_with(scheduler),
-                    threads,
-                    &budget,
-                    None,
-                    &mut reporter,
-                )
-                .unwrap();
-                let bytes = reporter.finish().unwrap();
-                assert_eq!(
-                    outcome,
-                    Outcome::Truncated {
-                        reason: crate::TruncationReason::DeadlineExceeded
-                    },
-                    "{scheduler:?} x{threads}"
-                );
-                assert!(stats.terminated_by_budget >= 1);
-                assert_eq!(
-                    &baseline[..bytes.len()],
-                    &bytes[..],
-                    "{scheduler:?} x{threads}: expired deadline still yields a byte-prefix"
-                );
-            }
+        for threads in [1usize, 2, 4] {
+            let budget = Budget::within(std::time::Duration::ZERO);
+            let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
+            let (stats, outcome) = par_enumerate_ordered_budgeted(
+                &g,
+                &SolverConfig::hbbmc_pp(),
+                threads,
+                &budget,
+                None,
+                &mut reporter,
+            )
+            .unwrap();
+            let bytes = reporter.finish().unwrap();
+            assert_eq!(
+                outcome,
+                Outcome::Truncated {
+                    reason: crate::TruncationReason::DeadlineExceeded
+                },
+                "x{threads}"
+            );
+            assert!(stats.terminated_by_budget >= 1);
+            assert_eq!(
+                &baseline[..bytes.len()],
+                &bytes[..],
+                "x{threads}: expired deadline still yields a byte-prefix"
+            );
         }
     }
 
@@ -1813,14 +1326,23 @@ mod tests {
         assert_eq!(reporter.finish().unwrap(), baseline);
     }
 
+    /// A deposit of the given cliques.
+    fn part(cliques: &[&[VertexId]]) -> Cliques {
+        let mut buffer = RankBuffer::new(ProgressHook(None));
+        for clique in cliques {
+            buffer.report(clique);
+        }
+        buffer.cliques
+    }
+
     #[test]
     fn sequencer_reorders_out_of_order_deposits() {
         let mut out = CollectReporter::new();
         let mut seq = Sequencer::new(&mut out);
-        seq.deposit(2, SeqKey::root(), vec![vec![2]], false);
-        seq.deposit(0, SeqKey::root(), vec![vec![0]], false);
+        seq.deposit(2, SeqKey::root(), part(&[&[2]]), false);
+        seq.deposit(0, SeqKey::root(), part(&[&[0]]), false);
         assert_eq!(seq.next, 1);
-        seq.deposit(1, SeqKey::root(), vec![vec![1]], false);
+        seq.deposit(1, SeqKey::root(), part(&[&[1]]), false);
         assert_eq!(seq.next, 3);
         assert!(seq.pending.is_empty());
         assert_eq!(out.cliques, vec![vec![0], vec![1], vec![2]]);
@@ -1835,11 +1357,11 @@ mod tests {
         seq.register_donation(0);
         let first = SeqKey::root().child(u32::MAX);
         let second = SeqKey::root().child(u32::MAX - 1);
-        seq.deposit(0, first, vec![vec![30]], false);
+        seq.deposit(0, first, part(&[&[30]]), false);
         assert_eq!(seq.next, 0, "incomplete rank must not emit");
-        seq.deposit(0, SeqKey::root(), vec![vec![10]], false);
+        seq.deposit(0, SeqKey::root(), part(&[&[10]]), false);
         assert_eq!(seq.next, 0);
-        seq.deposit(0, second, vec![vec![20]], false);
+        seq.deposit(0, second, part(&[&[20]]), false);
         // Root part first, then the second (deeper) donation, then the first.
         assert_eq!(seq.next, 1);
         assert_eq!(seq.buffered_cliques, 0);
@@ -1848,29 +1370,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_ranks_cover_every_rank_exactly_once() {
-        let counter = AtomicUsize::new(0);
-        let mut seen = vec![0usize; 100];
-        // Two interleaved consumers of the same counter.
-        let mut a = StealingRanks::new(&counter, 100);
-        let mut b = StealingRanks::new(&counter, 100);
-        loop {
-            let ra = a.next();
-            let rb = b.next();
-            if ra.is_none() && rb.is_none() {
-                break;
-            }
-            for r in [ra, rb].into_iter().flatten() {
-                seen[r] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
-    }
-
-    #[test]
     fn splitting_stats_balance_on_a_skewed_graph() {
         // A dense core plus sparse periphery: with an aggressive pool the
-        // core's roots must donate, and splits/steals must balance. The bare
+        // core's roots must donate, splits and steals must balance, and the
+        // per-worker statistics must add up to the merged ones. The bare
         // preset keeps the core's recursion alive (GR/ET would resolve it
         // without branching).
         let core = mce_gen::moon_moser(3);
@@ -1880,21 +1383,26 @@ mod tests {
         }
         let g = Graph::from_edges(40, g_edges).unwrap();
         let expected = naive_maximal_cliques(&g).len() as u64;
-        let mut cfg = SolverConfig::hbbmc_bare();
-        cfg.scheduler = RootScheduler::Splitting;
-        let solver = Solver::new(&g, cfg).unwrap();
-        let plan = solver.prepare();
-        let results =
-            run_workers_splitting(&solver, &plan, 4, aggressive_pool(), CountReporter::new);
-        let mut total = 0;
-        let mut merged = EnumerationStats::default();
-        for (reporter, stats) in results {
-            total += reporter.count;
-            merged.merge(&stats);
+        let mut count = CountReporter::new();
+        let cfg = SolverConfig::hbbmc_bare();
+        let run = drive(
+            &g,
+            &cfg,
+            4,
+            SEQUENCER_BUFFER_CAP,
+            aggressive_pool(),
+            &mut count,
+        )
+        .unwrap();
+        assert_eq!(count.count, expected);
+        assert_eq!(run.per_worker.len(), 4);
+        let mut summed = EnumerationStats::default();
+        for stats in &run.per_worker {
+            summed.merge(stats);
         }
-        assert_eq!(total, expected);
-        assert!(merged.splits > 0);
-        assert_eq!(merged.splits, merged.steals);
-        assert!(merged.busy_time > std::time::Duration::ZERO);
+        assert!(summed.splits > 0);
+        assert_eq!(summed.splits, summed.steals);
+        assert_eq!(summed.recursive_calls, run.merged.recursive_calls);
+        assert!(summed.busy_time > std::time::Duration::ZERO);
     }
 }

@@ -6,7 +6,7 @@
 //!   top-k largest cliques, the maximal cliques containing an **anchor**
 //!   vertex set, one maximum clique, or the k-cliques of a fixed size.
 //! * [`SolverConfig`] and `threads` choose *how* — any named preset, any
-//!   [`RootScheduler`](crate::RootScheduler), any worker count.
+//!   worker count.
 //! * [`Budget`] bounds *how much* — emitted cliques, branch steps, a
 //!   wall-clock deadline, or an external [`CancelToken`] — and the
 //!   [`Outcome`] reports whether the result is `Complete` or `Truncated`
@@ -17,7 +17,7 @@
 //! starts — the admission-control primitive a serving layer needs (a server
 //! cannot admit a query it can't stop). All streaming specs emit through the
 //! deterministic ordered pipeline, so a truncated stream is always an exact
-//! byte-prefix of the complete one, at any thread count, under any scheduler.
+//! byte-prefix of the complete one, at any thread count.
 //!
 //! # Anchored queries
 //!
@@ -97,7 +97,7 @@ pub enum QuerySpec {
 pub struct Query {
     /// What to produce.
     pub spec: QuerySpec,
-    /// How to branch (preset, scheduler, early termination, …).
+    /// How to branch (preset, early termination, graph reduction, …).
     pub config: SolverConfig,
     /// Worker threads (clamped to ≥ 1; anchored, k-clique, top-k and
     /// maximum-clique specs run sequentially — the first two have no root
@@ -446,7 +446,6 @@ mod tests {
     use crate::budget::TruncationReason;
     use crate::naive::naive_maximal_cliques;
     use crate::report::{CliqueLineFormat, CollectReporter, WriterReporter};
-    use crate::RootScheduler;
 
     fn test_graph() -> Graph {
         // Two overlapping communities plus sparse periphery (same shape the
@@ -524,39 +523,28 @@ mod tests {
         let total = full.iter().filter(|&&b| b == b'\n').count();
         assert!(total > 3);
         for threads in [1usize, 2, 4] {
-            for scheduler in [
-                RootScheduler::Dynamic,
-                RootScheduler::Static,
-                RootScheduler::Splitting,
-            ] {
-                let cfg = SolverConfig {
-                    scheduler,
-                    ..SolverConfig::default()
-                };
-                let query = Query::new(QuerySpec::Enumerate)
-                    .with_config(cfg)
-                    .with_threads(threads)
-                    .with_budget(Budget::cliques(3));
-                let (bytes, result) = ordered_text_bytes(&g, query);
-                let prefix_end = full
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b == b'\n')
-                    .nth(2)
-                    .map(|(i, _)| i + 1)
-                    .unwrap();
-                assert_eq!(
-                    bytes,
-                    &full[..prefix_end],
-                    "{scheduler:?} x{threads}: first 3 cliques exactly"
-                );
-                assert_eq!(
-                    result.outcome,
-                    Outcome::Truncated {
-                        reason: TruncationReason::CliqueLimit
-                    }
-                );
-            }
+            let query = Query::new(QuerySpec::Enumerate)
+                .with_threads(threads)
+                .with_budget(Budget::cliques(3));
+            let (bytes, result) = ordered_text_bytes(&g, query);
+            let prefix_end = full
+                .iter()
+                .enumerate()
+                .filter(|(_, &b)| b == b'\n')
+                .nth(2)
+                .map(|(i, _)| i + 1)
+                .unwrap();
+            assert_eq!(
+                bytes,
+                &full[..prefix_end],
+                "x{threads}: first 3 cliques exactly"
+            );
+            assert_eq!(
+                result.outcome,
+                Outcome::Truncated {
+                    reason: TruncationReason::CliqueLimit
+                }
+            );
         }
     }
 

@@ -39,19 +39,17 @@ use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use mce_graph::ordering::{edge_ordering, vertex_ordering, EdgeOrdering};
-use mce_graph::{
-    connected_components, degeneracy_ordering, BitsRef, Graph, GraphTopology, VertexId,
-};
+use mce_graph::{degeneracy_ordering, BitsRef, Graph, GraphTopology, VertexId};
 
 use crate::budget::BudgetState;
 use crate::config::{
-    ConfigError, InitialBranching, PivotStrategy, RecursionStrategy, RootScheduler, SolverConfig,
+    ConfigError, InitialBranching, PivotStrategy, RecursionStrategy, SolverConfig,
 };
 use crate::early_term::enumerate_plex_branch;
 use crate::local::LocalGraph;
 use crate::maxclique::{greedy_clique, TopKBound};
 use crate::pivot::{plex_condition, scan_branch};
-use crate::pool::{BranchTask, DonationSink, SeqKey, SPLIT_CHUNK};
+use crate::pool::{BranchTask, DonationSink, SeqKey};
 use crate::reduction::{reduce, Reduction};
 use crate::report::{CliqueReporter, CollectReporter, CountReporter};
 use crate::scratch::{Frame, SearchScratch, SplitFrame, WorkerState};
@@ -81,12 +79,8 @@ pub(crate) struct RootPlan {
     pub reduction_time: Duration,
     /// Wall time of the vertex/edge ordering alone.
     pub ordering_time: Duration,
-    /// Wall time of the whole preparation: reduction, ordering and (under
-    /// the splitting scheduler) the connected-components sharding.
+    /// Wall time of the whole preparation (reduction and ordering).
     pub prepare_time: Duration,
-    /// Component-grouped claim chunks for the splitting scheduler; `None`
-    /// under the pulling schedulers (which claim plain rank ranges).
-    pub shards: Option<RootShards>,
 }
 
 /// Which initial branching the plan's root tasks follow.
@@ -107,81 +101,6 @@ impl RootPlan {
             RootKind::Vertex { order, .. } => order.len(),
             RootKind::Edge { eo, .. } => eo.order.len(),
         }
-    }
-}
-
-/// Root ranks grouped into per-connected-component claim chunks.
-///
-/// Components never share a clique, so each component's roots form an
-/// independent, trivially parallel shard: a claim chunk never straddles a
-/// component boundary, small components are claimed whole, and large ones
-/// are cut into [`SPLIT_CHUNK`]-sized runs. Groups are ordered by each
-/// component's first root rank (rank-ascending inside a group), so claim
-/// order tracks rank order closely and the ordered sequencer's out-of-order
-/// buffering stays small.
-pub(crate) struct RootShards {
-    /// Root ranks in claim order.
-    claim_order: Vec<u32>,
-    /// `(start, end)` index pairs into `claim_order`, one per chunk.
-    chunks: Vec<(u32, u32)>,
-    /// Number of connected components owning at least one root.
-    shard_count: usize,
-}
-
-impl RootShards {
-    /// Groups `root_component[rank]` assignments into claim chunks.
-    fn build(root_component: &[usize]) -> Self {
-        let total = root_component.len();
-        let mut first_rank: Vec<usize> = Vec::new();
-        for (rank, &c) in root_component.iter().enumerate() {
-            if c >= first_rank.len() {
-                first_rank.resize(c + 1, usize::MAX);
-            }
-            if first_rank[c] == usize::MAX {
-                first_rank[c] = rank;
-            }
-        }
-        let shard_count = first_rank.iter().filter(|&&r| r != usize::MAX).count();
-        let mut claim_order: Vec<u32> = (0..total as u32).collect();
-        claim_order.sort_unstable_by_key(|&r| (first_rank[root_component[r as usize]], r));
-        let mut chunks = Vec::new();
-        let mut start = 0usize;
-        while start < total {
-            let component = root_component[claim_order[start] as usize];
-            let mut end = start + 1;
-            while end < total
-                && end - start < SPLIT_CHUNK
-                && root_component[claim_order[end] as usize] == component
-            {
-                end += 1;
-            }
-            chunks.push((start as u32, end as u32));
-            start = end;
-        }
-        RootShards {
-            claim_order,
-            chunks,
-            shard_count,
-        }
-    }
-
-    /// Number of claim chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// The root ranks of chunk `i`, in rank-ascending order.
-    pub fn chunk(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let (start, end) = self.chunks[i];
-        self.claim_order[start as usize..end as usize]
-            .iter()
-            .map(|&r| r as usize)
-    }
-
-    /// Number of independent component shards.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
     }
 }
 
@@ -254,7 +173,7 @@ struct Ctx<'a> {
     config: SolverConfig,
     stats: EnumerationStats,
     reporter: &'a mut dyn CliqueReporter,
-    /// `Some` only when running under the splitting scheduler.
+    /// `Some` only when donating to the parallel driver's pool.
     donor: Option<Donor<'a>>,
     /// `Some` only when running inside a budgeted session.
     budget: Option<&'a BudgetState>,
@@ -264,7 +183,25 @@ struct Ctx<'a> {
     topk: Option<&'a mut TopKBound>,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    /// A fresh context with zeroed statistics.
+    fn new(
+        config: SolverConfig,
+        reporter: &'a mut dyn CliqueReporter,
+        donor: Option<Donor<'a>>,
+        budget: Option<&'a BudgetState>,
+        topk: Option<&'a mut TopKBound>,
+    ) -> Self {
+        Ctx {
+            config,
+            stats: EnumerationStats::default(),
+            reporter,
+            donor,
+            budget,
+            topk,
+        }
+    }
+
     fn report(&mut self, clique: &[VertexId]) {
         self.stats.maximal_cliques += 1;
         self.stats.max_clique_size = self.stats.max_clique_size.max(clique.len());
@@ -385,39 +322,20 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
         state: &mut EnumerationState,
         reporter: &mut dyn CliqueReporter,
     ) -> EnumerationStats {
+        let start = Instant::now();
         let plan = self.prepare();
-        self.run_on_plan(
+        let mut stats = self.emit_static(&plan, reporter);
+        stats.merge(&self.run_ranks(
             &plan,
             0..plan.root_count(),
-            true,
             &mut state.worker,
             None,
+            None,
             reporter,
-        )
-    }
-
-    /// Processes only the root branches whose rank `r` satisfies
-    /// `r % parts == part` (plus, for `part == 0`, the cliques emitted by graph
-    /// reduction and by isolated vertices). Running every part exactly once
-    /// over the same graph and configuration — in any order or in parallel —
-    /// reports every maximal clique exactly once. Used by the parallel driver
-    /// when [static scheduling](crate::config::RootScheduler::Static) is
-    /// requested.
-    pub fn run_partition(
-        &self,
-        part: usize,
-        parts: usize,
-        reporter: &mut dyn CliqueReporter,
-    ) -> EnumerationStats {
-        assert!(
-            parts > 0 && part < parts,
-            "invalid partition {part}/{parts}"
-        );
-        let plan = self.prepare();
-        let mut worker = WorkerState::new();
-        let count = plan.root_count();
-        let ranks = (part..count).step_by(parts);
-        self.run_on_plan(&plan, ranks, part == 0, &mut worker, None, reporter)
+        ));
+        stats.elapsed = start.elapsed();
+        stats.busy_time = stats.elapsed;
+        stats
     }
 
     // ------------------------------------------------------------------
@@ -450,97 +368,49 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             },
         };
         let ordering_time = ordering_start.elapsed();
-        // The splitting scheduler claims roots in per-connected-component
-        // chunks (components are independent shards); the pulling schedulers
-        // claim plain rank ranges and skip the O(n + m) component pass.
-        let shards = (self.config.scheduler == RootScheduler::Splitting).then(|| {
-            let cc = connected_components(g);
-            let root_component: Vec<usize> = match &kind {
-                RootKind::Vertex { order, .. } => {
-                    order.iter().map(|&v| cc.component_of[v as usize]).collect()
-                }
-                RootKind::Edge { eo, .. } => eo
-                    .order
-                    .iter()
-                    .map(|&e| cc.component_of[eo.index.endpoints(e).0 as usize])
-                    .collect(),
-            };
-            RootShards::build(&root_component)
-        });
         RootPlan {
             reduction,
             kind,
             reduction_time,
             ordering_time,
             prepare_time: start.elapsed(),
-            shards,
         }
     }
 
-    /// Runs the given root ranks over a prepared plan. `with_static` selects
-    /// whether this worker also emits the rank-independent output (graph
-    /// reduction cliques, isolated vertices) — exactly one worker of a run
-    /// must do so. That worker also carries the plan's preparation times,
-    /// and its `elapsed` includes the whole preparation.
-    pub(crate) fn run_on_plan(
+    /// Emits the output that is independent of any root rank (see
+    /// [`Solver::static_output`]) once per run, carrying the plan's
+    /// preparation times; its `elapsed` covers the whole preparation.
+    pub(crate) fn emit_static(
         &self,
         plan: &RootPlan,
-        ranks: impl IntoIterator<Item = usize>,
-        with_static: bool,
-        worker: &mut WorkerState,
-        budget: Option<&BudgetState>,
         reporter: &mut dyn CliqueReporter,
     ) -> EnumerationStats {
         let start = Instant::now();
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor: None,
-            budget,
-            topk: None,
-        };
-        worker.prepare_for(self.graph.n());
-        if with_static {
-            ctx.stats.reduction_time = plan.reduction_time;
-            ctx.stats.ordering_time = plan.ordering_time;
-            ctx.stats.elapsed = plan.prepare_time;
-            self.emit_static(plan, &mut ctx);
-        }
-        for rank in ranks {
-            if ctx.budget_stopped() {
-                break;
-            }
-            self.run_root(plan, rank, worker, &mut ctx);
-        }
-        ctx.stats.elapsed += start.elapsed();
+        let mut ctx = Ctx::new(self.config, reporter, None, None, None);
+        self.static_output(plan, &mut ctx);
+        ctx.stats.reduction_time = plan.reduction_time;
+        ctx.stats.ordering_time = plan.ordering_time;
+        ctx.stats.elapsed = plan.prepare_time + start.elapsed();
         ctx.stats.busy_time = ctx.stats.elapsed;
         ctx.stats
     }
 
-    /// Runs the given root ranks with donation enabled: whenever the shared
-    /// pool reports starving workers and this worker has invested at least
-    /// the sink's step threshold in its chunk, the unexplored siblings of the
-    /// shallowest splittable frame are packaged into a [`BranchTask`] and
-    /// pushed to `sink`. Used by the splitting scheduler only.
-    pub(crate) fn run_ranks_donating(
+    /// Runs the given root ranks over a prepared plan. With a `sink`,
+    /// donation is enabled: whenever the pool reports starving workers and
+    /// this worker has invested at least the sink's step threshold in the
+    /// current rank, the unexplored siblings of the shallowest splittable
+    /// frame are packaged into a [`BranchTask`] and pushed to `sink`.
+    pub(crate) fn run_ranks(
         &self,
         plan: &RootPlan,
         ranks: impl IntoIterator<Item = usize>,
         worker: &mut WorkerState,
-        sink: &dyn DonationSink,
+        sink: Option<&dyn DonationSink>,
         budget: Option<&BudgetState>,
         reporter: &mut dyn CliqueReporter,
     ) -> EnumerationStats {
         let start = Instant::now();
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor: Some(Donor::new(sink)),
-            budget,
-            topk: None,
-        };
+        let mut ctx = Ctx::new(self.config, reporter, sink.map(Donor::new), budget, None);
         worker.prepare_for(self.graph.n());
         for rank in ranks {
             if ctx.budget_stopped() {
@@ -575,14 +445,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
         };
         let mut donor = Donor::new(sink);
         donor.reset_for_task(&task);
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor: Some(donor),
-            budget,
-            topk: None,
-        };
+        let mut ctx = Ctx::new(self.config, reporter, Some(donor), budget, None);
         let BranchTask {
             partial: prefix,
             c,
@@ -629,14 +492,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
     ) -> EnumerationStats {
         let g = self.graph;
         let start = Instant::now();
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor: None,
-            budget,
-            topk: None,
-        };
+        let mut ctx = Ctx::new(self.config, reporter, None, budget, None);
         worker.prepare_for(g.n());
         // Common neighbourhood of the anchor, walked from its smallest
         // adjacency list.
@@ -704,18 +560,11 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
             0
         };
         let mut bound = TopKBound::new(k, seed_floor);
-        let mut ctx = Ctx {
-            config: self.config,
-            stats: EnumerationStats::default(),
-            reporter,
-            donor: None,
-            budget,
-            topk: Some(&mut bound),
-        };
+        let mut ctx = Ctx::new(self.config, reporter, None, budget, Some(&mut bound));
         worker.prepare_for(g.n());
         ctx.stats.reduction_time = plan.reduction_time;
         ctx.stats.ordering_time = plan.ordering_time;
-        self.emit_static(&plan, &mut ctx);
+        self.static_output(&plan, &mut ctx);
         for rank in 0..plan.root_count() {
             if ctx.budget_stopped() {
                 break;
@@ -801,10 +650,10 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
         }
     }
 
-    /// Emits the output that is independent of any root rank: the cliques
+    /// Reports the output that is independent of any root rank: the cliques
     /// reported by the graph reduction and — under edge-oriented branching —
     /// the isolated vertices of Eq. (3).
-    fn emit_static(&self, plan: &RootPlan, ctx: &mut Ctx<'_>) {
+    fn static_output(&self, plan: &RootPlan, ctx: &mut Ctx<'_>) {
         ctx.stats.gr_removed_vertices = plan.reduction.removed_count() as u64;
         for clique in &plan.reduction.cliques {
             ctx.stats.gr_cliques += 1;
@@ -1757,11 +1606,9 @@ mod tests {
     #[test]
     fn elapsed_covers_reduction_and_ordering() {
         let g = mce_gen::barabasi_albert(3_000, 6, 5);
-        let mut splitting = SolverConfig::hbbmc_pp();
-        splitting.scheduler = RootScheduler::Splitting;
-        for config in [SolverConfig::hbbmc_pp(), SolverConfig::r_degen(), splitting] {
+        for config in [SolverConfig::hbbmc_pp(), SolverConfig::r_degen()] {
             let (_, seq) = count_maximal_cliques(&g, &config);
-            let (_, par) = crate::par_count_maximal_cliques(&g, &config, 2);
+            let (_, par, _) = crate::par_count_with_worker_stats(&g, &config, 2);
             let mut sink = CountReporter::new();
             let ordered = crate::par_enumerate_ordered(&g, &config, 2, &mut sink).unwrap();
             for stats in [seq, par, ordered] {
@@ -1809,17 +1656,21 @@ mod tests {
             ],
         )
         .unwrap();
+        // The parallel driver's view: the rank-independent output once, then
+        // root ranks in contiguous chunks run by separate rank runners.
         let expected = naive_maximal_cliques(&g);
-        for parts in [1usize, 2, 3, 5] {
-            let solver = Solver::new(&g, SolverConfig::hbbmc_pp()).unwrap();
-            let mut all = Vec::new();
-            for part in 0..parts {
-                let mut collector = CollectReporter::new();
-                solver.run_partition(part, parts, &mut collector);
-                all.extend(collector.cliques);
+        let solver = Solver::new(&g, SolverConfig::hbbmc_pp()).unwrap();
+        let plan = solver.prepare();
+        let total = plan.root_count();
+        for chunk in [1usize, 2, 3, 5] {
+            let mut collector = CollectReporter::new();
+            solver.emit_static(&plan, &mut collector);
+            for start in (0..total).step_by(chunk) {
+                let mut worker = WorkerState::new();
+                let ranks = start..(start + chunk).min(total);
+                solver.run_ranks(&plan, ranks, &mut worker, None, None, &mut collector);
             }
-            all.sort();
-            assert_eq!(all, expected, "parts = {parts}");
+            assert_eq!(collector.into_sorted(), expected, "chunk = {chunk}");
         }
     }
 
@@ -1870,62 +1721,5 @@ mod tests {
         let mut cfg = SolverConfig::hbbmc_pp();
         cfg.early_termination_t = 9;
         assert!(Solver::new(&g, cfg).is_err());
-    }
-
-    #[test]
-    fn pulling_plans_skip_component_shards() {
-        let g = Graph::complete(4);
-        let solver = Solver::new(&g, SolverConfig::hbbmc_pp()).unwrap();
-        assert!(solver.prepare().shards.is_none());
-    }
-
-    #[test]
-    fn splitting_plan_builds_component_shards() {
-        // Two triangles in separate components plus a pendant.
-        let g =
-            Graph::from_edges(8, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6), (6, 7)]).unwrap();
-        let mut cfg = SolverConfig::hbbmc_bare();
-        cfg.scheduler = RootScheduler::Splitting;
-        let solver = Solver::new(&g, cfg).unwrap();
-        let plan = solver.prepare();
-        let shards = plan.shards.as_ref().expect("splitting plan has shards");
-        assert_eq!(shards.shard_count(), 2);
-        // Every rank is claimed exactly once across all chunks.
-        let mut seen = vec![0usize; plan.root_count()];
-        for chunk in 0..shards.chunk_count() {
-            for rank in shards.chunk(chunk) {
-                seen[rank] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
-    }
-
-    #[test]
-    fn root_shards_group_by_component_and_cap_chunks() {
-        // Interleaved component assignment: component 1 first appears at
-        // rank 0, component 0 at rank 1.
-        let shards = RootShards::build(&[1, 0, 1, 0, 0, 1]);
-        assert_eq!(shards.shard_count(), 2);
-        let claimed: Vec<Vec<usize>> = (0..shards.chunk_count())
-            .map(|c| shards.chunk(c).collect())
-            .collect();
-        // Component 1's ranks (first seen at rank 0) come first, in rank
-        // order; then component 0's.
-        assert_eq!(claimed.concat(), vec![0, 2, 5, 1, 3, 4]);
-        for chunk in &claimed {
-            assert!(chunk.len() <= crate::pool::SPLIT_CHUNK);
-        }
-        // A chunk never straddles components.
-        assert!(claimed.iter().all(|chunk| {
-            let comps: Vec<usize> = chunk.iter().map(|&r| [1, 0, 1, 0, 0, 1][r]).collect();
-            comps.windows(2).all(|w| w[0] == w[1])
-        }));
-
-        // A big single component is cut into SPLIT_CHUNK-sized runs.
-        let big = RootShards::build(&[0; 20]);
-        assert_eq!(big.shard_count(), 1);
-        assert!(big.chunk_count() >= 20 / crate::pool::SPLIT_CHUNK);
-        let all: Vec<usize> = (0..big.chunk_count()).flat_map(|c| big.chunk(c)).collect();
-        assert_eq!(all, (0..20).collect::<Vec<_>>());
     }
 }

@@ -25,8 +25,8 @@ pub struct EnumerationStats {
     pub gr_cliques: u64,
     /// Vertices removed by the graph-reduction preprocessing.
     pub gr_removed_vertices: u64,
-    /// Sub-branch tasks donated to the shared pool by the splitting scheduler
-    /// (0 unless [`RootScheduler::Splitting`](crate::RootScheduler) ran).
+    /// Sub-branch tasks donated to the parallel driver's task pool (0 for
+    /// one-thread runs, which have no pool).
     pub splits: u64,
     /// Donated tasks stolen from the pool and resumed by a worker (equals
     /// `splits` after a completed run — every donated task is eventually
@@ -64,8 +64,7 @@ pub struct EnumerationStats {
     /// reduction is disabled or the run has no root phase).
     pub reduction_time: Duration,
     /// Wall-clock time spent computing the vertex/edge ordering of the root
-    /// alone (not the reduction, nor the splitting scheduler's
-    /// connected-components pass, which only `elapsed` covers).
+    /// phase alone (not the reduction).
     pub ordering_time: Duration,
     /// Summed per-worker wall time spent executing enumeration work (as
     /// opposed to waiting for work). `busy_time / (elapsed × threads)` is the

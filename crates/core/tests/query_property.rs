@@ -1,11 +1,11 @@
 //! Property tests for the unified query engine: anchored queries against the
 //! naive enumerate-then-filter reference, and the budget layer's byte-prefix
-//! contract under every scheduler.
+//! contract at every thread count.
 
 use hbbmc::{
     naive_maximal_cliques, run_query, Budget, CancelToken, CliqueLineFormat, CollectReporter,
-    CountReporter, Outcome, Query, QuerySpec, QueryValue, RootScheduler, SolverConfig,
-    TopKReporter, WriterReporter,
+    CountReporter, Outcome, Query, QuerySpec, QueryValue, SolverConfig, TopKReporter,
+    WriterReporter,
 };
 use mce_gen::{
     barabasi_albert, erdos_renyi_gnp, moon_moser, planted_communities, turan_graph, PlantedConfig,
@@ -43,14 +43,6 @@ fn query_text(g: &Graph, query: Query) -> (Vec<u8>, Outcome) {
     let mut reporter = WriterReporter::new(Vec::new(), CliqueLineFormat::Text);
     let result = run_query(g, query, &mut reporter).expect("valid query");
     (reporter.finish().expect("in-memory sink"), result.outcome)
-}
-
-fn schedulers() -> [RootScheduler; 3] {
-    [
-        RootScheduler::Dynamic,
-        RootScheduler::Static,
-        RootScheduler::Splitting,
-    ]
 }
 
 proptest! {
@@ -103,7 +95,7 @@ proptest! {
     }
 
     /// (b) A clique-limit truncation is the exact N-clique byte-prefix of the
-    /// unbudgeted ordered stream under all three schedulers at 1/2/4 threads.
+    /// unbudgeted ordered stream at 1/2/4 threads.
     #[test]
     fn clique_limit_is_an_exact_prefix_under_all_schedulers(
         n in 8usize..28,
@@ -125,30 +117,25 @@ proptest! {
                 .map(|(i, _)| i + 1)
                 .unwrap()
         };
-        for scheduler in schedulers() {
-            let mut cfg = SolverConfig::hbbmc_pp();
-            cfg.scheduler = scheduler;
-            for threads in [1usize, 2, 4] {
-                let (bytes, outcome) = query_text(
-                    &g,
-                    Query::new(QuerySpec::Enumerate)
-                        .with_config(cfg)
-                        .with_threads(threads)
-                        .with_budget(Budget::cliques(limit)),
-                );
-                prop_assert_eq!(
-                    &bytes[..],
-                    &full[..prefix_end],
-                    "{:?} x{}: limit {} of {} cliques",
-                    scheduler, threads, limit, total
-                );
-                prop_assert_eq!(outcome.is_truncated(), limit < total);
-            }
+        for threads in [1usize, 2, 4] {
+            let (bytes, outcome) = query_text(
+                &g,
+                Query::new(QuerySpec::Enumerate)
+                    .with_threads(threads)
+                    .with_budget(Budget::cliques(limit)),
+            );
+            prop_assert_eq!(
+                &bytes[..],
+                &full[..prefix_end],
+                "x{}: limit {} of {} cliques",
+                threads, limit, total
+            );
+            prop_assert_eq!(outcome.is_truncated(), limit < total);
         }
     }
 
     /// (b) A step-limit or cancellation truncation still yields an exact
-    /// byte-prefix (of a priori unknown length) under every scheduler.
+    /// byte-prefix (of a priori unknown length) at every thread count.
     #[test]
     fn step_limit_truncation_is_a_byte_prefix_under_all_schedulers(
         n in 8usize..26,
@@ -158,25 +145,20 @@ proptest! {
     ) {
         let g = erdos_renyi_gnp(n, p, seed);
         let (full, _) = query_text(&g, Query::new(QuerySpec::Enumerate));
-        for scheduler in schedulers() {
-            let mut cfg = SolverConfig::hbbmc_pp();
-            cfg.scheduler = scheduler;
-            for threads in [1usize, 2, 4] {
-                let (bytes, outcome) = query_text(
-                    &g,
-                    Query::new(QuerySpec::Enumerate)
-                        .with_config(cfg)
-                        .with_threads(threads)
-                        .with_budget(Budget::steps(max_steps)),
-                );
-                prop_assert!(
-                    bytes.len() <= full.len() && full[..bytes.len()] == bytes[..],
-                    "{:?} x{}: steps={} output must be a prefix",
-                    scheduler, threads, max_steps
-                );
-                if outcome == Outcome::Complete {
-                    prop_assert_eq!(&bytes, &full);
-                }
+        for threads in [1usize, 2, 4] {
+            let (bytes, outcome) = query_text(
+                &g,
+                Query::new(QuerySpec::Enumerate)
+                    .with_threads(threads)
+                    .with_budget(Budget::steps(max_steps)),
+            );
+            prop_assert!(
+                bytes.len() <= full.len() && full[..bytes.len()] == bytes[..],
+                "x{}: steps={} output must be a prefix",
+                threads, max_steps
+            );
+            if outcome == Outcome::Complete {
+                prop_assert_eq!(&bytes, &full);
             }
         }
     }
@@ -280,19 +262,16 @@ proptest! {
 fn pre_cancelled_sessions_truncate_under_every_scheduler() {
     let g = erdos_renyi_gnp(20, 0.4, 7);
     let (full, _) = query_text(&g, Query::new(QuerySpec::Enumerate));
-    for scheduler in schedulers() {
-        let mut cfg = SolverConfig::hbbmc_pp();
-        cfg.scheduler = scheduler;
+    for threads in [1usize, 2, 4] {
         let token = CancelToken::new();
         token.cancel();
         let (bytes, outcome) = query_text(
             &g,
             Query::new(QuerySpec::Enumerate)
-                .with_config(cfg)
-                .with_threads(4)
+                .with_threads(threads)
                 .with_budget(Budget::unlimited().with_cancel(token)),
         );
-        assert!(outcome.is_truncated(), "{scheduler:?}");
-        assert_eq!(&full[..bytes.len()], &bytes[..], "{scheduler:?}");
+        assert!(outcome.is_truncated(), "x{threads}");
+        assert_eq!(&full[..bytes.len()], &bytes[..], "x{threads}");
     }
 }

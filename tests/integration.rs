@@ -4,7 +4,7 @@
 
 use hbbmc::{
     count_maximal_cliques, enumerate, enumerate_collect, naive_maximal_cliques,
-    par_count_maximal_cliques, verify_cliques, CollectReporter, CountReporter, MinSizeFilter,
+    par_count_with_worker_stats, verify_cliques, CollectReporter, CountReporter, MinSizeFilter,
     SolverConfig,
 };
 use mce_gen::{
@@ -140,9 +140,11 @@ fn parallel_and_sequential_agree_on_medium_graphs() {
     let graph = erdos_renyi(500, 5_000, 21);
     let (seq, _) = count_maximal_cliques(&graph, &SolverConfig::hbbmc_pp());
     for threads in [2usize, 4] {
-        let (par, stats) = par_count_maximal_cliques(&graph, &SolverConfig::hbbmc_pp(), threads);
+        let (par, stats, per_worker) =
+            par_count_with_worker_stats(&graph, &SolverConfig::hbbmc_pp(), threads);
         assert_eq!(par, seq);
         assert_eq!(stats.maximal_cliques, seq);
+        assert_eq!(per_worker.len(), threads);
     }
 }
 
