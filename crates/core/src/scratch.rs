@@ -281,8 +281,8 @@ impl SearchScratch {
 
 /// Donation bookkeeping for one in-progress branch loop: which frame it owns,
 /// how much of the partial clique belongs to it, and where its next
-/// unexplored sibling sits in the frame's branch list. The splitting
-/// scheduler walks these entries shallowest-first to find the largest
+/// unexplored sibling sits in the frame's branch list. The donation check
+/// walks these entries shallowest-first to find the largest
 /// donatable remainder; see [`pool`](crate::pool).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SplitFrame {

@@ -1036,7 +1036,7 @@ impl<'g, G: GraphTopology> Solver<'g, G> {
     /// Branches on every vertex of the frame's branch list, moving each to
     /// `X` afterwards.
     ///
-    /// This loop is the splitting scheduler's donation point: it registers
+    /// This loop is the parallel driver's donation point: it registers
     /// itself as a splittable frame, each iteration counts as one branch
     /// step, and when a (possibly deeper) [`Solver::maybe_donate`] gives this
     /// loop's remaining siblings away the loop stops after its current child
